@@ -1,8 +1,9 @@
 """Command-line interface: synthesize, execute, and benchmark.
 
-Exit codes: 0 solved, 2 timeout, 3 search exhausted, 1 usage or data error.
-Flags can also be set through environment variables prefixed ``BEE_``
-(BEE_TIMEOUT, BEE_MAX_DEPTH, BEE_HYPOTHESIS_BOUND, BEE_MODE, BEE_SEED).
+Exit codes: 0 solved, 2 timeout, 3 search exhausted, 1 usage or data error
+(a malformed flag or ``BEE_*`` value included). Settings flags can also be
+set through environment variables prefixed ``BEE_`` (BEE_TIMEOUT,
+BEE_MAX_DEPTH, BEE_HYPOTHESIS_BOUND, BEE_MODE).
 """
 
 from __future__ import annotations
@@ -29,25 +30,32 @@ _STATUS_EXIT = {"solved": EXIT_SOLVED, "timeout": EXIT_TIMEOUT,
                 "exhausted": EXIT_EXHAUSTED}
 
 
-def _env(name: str, default):
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_ERROR on a usage error; argparse's own 2 would read
+    as a timeout."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _env(name: str, default: str) -> str:
+    # argparse runs a string default through the flag's ``type``, so a
+    # malformed value is reported as a usage error.
     return os.environ.get(f"BEE_{name}", default)
 
 
 def _add_settings_flags(p: argparse.ArgumentParser):
-    p.add_argument("--timeout", type=float,
-                   default=float(_env("TIMEOUT", 120.0)),
+    p.add_argument("--timeout", type=float, default=_env("TIMEOUT", "120"),
                    help="search budget in seconds (default 120)")
-    p.add_argument("--max-depth", type=int,
-                   default=int(_env("MAX_DEPTH", 3)),
+    p.add_argument("--max-depth", type=int, default=_env("MAX_DEPTH", "3"),
                    help="maximum transformation depth (default 3)")
     p.add_argument("--hypothesis-bound", type=int,
-                   default=int(_env("HYPOTHESIS_BOUND", 20)),
+                   default=_env("HYPOTHESIS_BOUND", "20"),
                    help="hypotheses tried per depth (default 20)")
     p.add_argument("--mode", choices=("bi", "forward-only", "both"),
                    default=_env("MODE", "bi"),
                    help="search mode (default bi)")
-    p.add_argument("--seed", type=int, default=int(_env("SEED", 0)),
-                   help="reserved; the engine is deterministic")
 
 
 def _settings(args, mode: str) -> SynthSettings:
@@ -163,7 +171,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tablesynth",
         description="Synthesize table-transformation programs from "
                     "input/output examples.",

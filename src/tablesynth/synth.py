@@ -7,9 +7,11 @@ against forward tables by solving per-column feature parameters. Matched
 hypotheses are combined by exact cover, and the winning cover is assembled
 into a verified program.
 
-A forward-only baseline replaces the hypothesis generator with brute-force
-enumeration of output subsets in decreasing size; it is intentionally
-exponential in the number of output rows.
+One search loop serves both modes; they differ only in the per-depth source
+of hypotheses. The bidirectional mode uses the ranked, bounded
+``HypothesisGenerator``. The forward-only baseline enumerates every subset of
+the output rows in decreasing size; it is intentionally exponential in the
+number of output rows.
 """
 
 from __future__ import annotations
@@ -39,14 +41,13 @@ from .dsl import (
     Yield,
     exec_program,
     exec_transform,
+    exec_yield,
     ExecState,
     validate_program,
 )
 from .errors import EngineInternalError, SchemaError, TableSynthError
 from .features import (
-    DEFAULT_CAPS,
     FeatureFamily,
-    SolverCaps,
     solve_concat,
     solve_div,
     solve_linear,
@@ -59,6 +60,16 @@ from .table import ColumnType, Schema, Table, Value, _sort_key
 # ---------------------------------------------------------------------------
 # Configuration and result types.
 
+#: Most aggregates one GroupJoin statement computes.
+GROUPJOIN_MAX_AGGS = 2
+#: Most input columns one concat feature reads.
+CONCAT_MAX_INPUTS = 2
+#: Sub-table pools are augmented with the full power set when the output
+#: example is at most this many rows; keeps small examples complete.
+POWERSET_ROWS = 6
+#: Search nodes spent enumerating unanchored row surjections per table pair.
+SURJECTION_NODE_CAP = 20000
+
 
 @dataclass(frozen=True)
 class SynthSettings:
@@ -66,18 +77,11 @@ class SynthSettings:
     hypothesis_bound: int = 20
     timeout: float = 120.0
     mode: str = "bi"  # "bi" | "forward-only"
-    caps: SolverCaps = DEFAULT_CAPS
-    merge_equivalent: bool = True
-    cache_solver: bool = True
-    groupjoin_max_aggs: int = 2
-    concat_max_inputs: int = 2
-    # Sub-table pools are augmented with the full power set when the output
-    # example is at most this many rows; keeps small examples complete.
-    powerset_rows: int = 6
-    surjection_node_cap: int = 20000
 
     def __post_init__(self):
-        if self.max_depth < 0 or self.hypothesis_bound <= 0 or self.timeout <= 0:
+        # ``not >`` also rejects a NaN timeout, which would never expire.
+        if (self.max_depth < 0 or self.hypothesis_bound <= 0
+                or not self.timeout > 0):
             raise SchemaError("settings must be positive")
         if self.mode not in ("bi", "forward-only"):
             raise SchemaError(f"unknown mode {self.mode!r}")
@@ -267,7 +271,7 @@ class HypothesisGenerator:
             add(a & b, "signature-group")
         for c in list(pool):
             add(self.all_rows - c, "complement")
-        if output.nrows <= settings.powerset_rows:
+        if output.nrows <= POWERSET_ROWS:
             for k in range(1, output.nrows):
                 for combo in itertools.combinations(output.rows, k):
                     add(frozenset(combo), "signature-group")
@@ -313,6 +317,28 @@ class HypothesisGenerator:
                 "complement",
             )]
         self.queue = front + kept + demoted
+
+
+class _SubsetSource:
+    """The forward-only baseline's hypotheses: every subset of the output
+    rows, larger first, except the row sets in ``skip`` (those matched at an
+    earlier depth). Unscored and unbounded."""
+
+    def __init__(self, output: Table, deadline: _Deadline, skip: set):
+        self.deadline = deadline
+        self.skip = skip
+        self.subsets = (frozenset(combo) for k in range(output.nrows, 0, -1)
+                        for combo in itertools.combinations(output.rows, k))
+
+    def next(self) -> Optional[Hypothesis]:
+        for rows in self.subsets:
+            self.deadline.check()
+            if rows not in self.skip:
+                return Hypothesis(rows, 0, "signature-group")
+        return None
+
+    def update_rank(self, matched: Hypothesis):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +424,12 @@ class _Engine:
                 return name
 
     def _add_entry(self, stmt, table: Table, depth: int) -> bool:
-        if self.settings.merge_equivalent and table in self.seen_tables:
+        if table in self.seen_tables:
             return False
         entry = ForwardEntry(stmt, table, depth, len(self.entries))
         self.entries.append(entry)
         self.by_name[table.name] = entry
-        self.seen_tables.setdefault(table, entry)
+        self.seen_tables[table] = entry
         self.stats.forward_tables = len(self.entries)
         return True
 
@@ -455,9 +481,8 @@ class _Engine:
                 singles = [("cnt", col_index)]
                 singles += [(agg, c) for c in int_cols
                             for agg in ("max", "min", "sum", "avg")]
-                pools = [(s,) for s in singles]
-                if self.settings.groupjoin_max_aggs >= 2:
-                    pools += list(itertools.combinations(singles, 2))
+                pools = [aggs for n in range(1, GROUPJOIN_MAX_AGGS + 1)
+                         for aggs in itertools.combinations(singles, n)]
                 for aggs in pools:
                     self.deadline.check()
                     self._try_stmt(
@@ -475,24 +500,22 @@ class _Engine:
 
     def _solve(self, family: FeatureFamily, data: tuple):
         key = (family, data)
-        if self.settings.cache_solver and key in self.solver_cache:
+        if key in self.solver_cache:
             return self.solver_cache[key]
         self.deadline.check()
-        caps = self.settings.caps
         if family is FeatureFamily.LINEAR:
             result = solve_linear(data)
         elif family is FeatureFamily.DIV:
-            result = solve_div(data, caps)
+            result = solve_div(data)
         elif family is FeatureFamily.MOD:
             result = solve_mod(data)
         elif family is FeatureFamily.SUM:
             result = solve_sum(data)
         elif family is FeatureFamily.SUBSTRING:
-            result = solve_substring(data, caps)
+            result = solve_substring(data)
         else:
-            result = solve_concat(data, caps)
-        if self.settings.cache_solver:
-            self.solver_cache[key] = result
+            result = solve_concat(data)
+        self.solver_cache[key] = result
         return result
 
     def _surjections(self, t: Table, h: Table) -> Iterator[tuple[int, ...]]:
@@ -546,7 +569,7 @@ class _Engine:
                 if self._pair_compatible(t, trow, h, hrow, t_id):
                     ok_rows.append(i)
             compat.append(ok_rows)
-        budget = [self.settings.surjection_node_cap]
+        budget = [SURJECTION_NODE_CAP]
 
         def rec(k, assignment, covered):
             if budget[0] <= 0:
@@ -645,7 +668,7 @@ class _Engine:
                         choices.append(f"substring({name})")
                         break
                 if found is None:
-                    for size in range(1, self.settings.concat_max_inputs + 1):
+                    for size in range(1, CONCAT_MAX_INPUTS + 1):
                         for combo in itertools.permutations(str_cols, size):
                             cols = tuple(t.column(c) for c in combo)
                             data = tuple(
@@ -667,7 +690,7 @@ class _Engine:
     def match_hypothesis(self, h: Hypothesis):
         """First forward table (ascending depth) admitting an exact match."""
         h_table = Table("h", self.task.output.schema, h.rows)
-        for entry in sorted(self.entries, key=lambda e: (e.depth, e.order)):
+        for entry in self.entries:  # appended in (depth, order) order
             self.deadline.check()
             t = entry.table
             if t.nrows < h_table.nrows:
@@ -685,8 +708,6 @@ class _Engine:
     def _verify_match(self, t: Table, h_table: Table,
                       projections: Sequence[Projection]):
         state = ExecState({t.name: t})
-        from .dsl import exec_yield
-
         got = exec_yield(state, Yield(t.name, tuple(projections)),
                          self.task.action)
         if got != h_table.renamed(got.name):
@@ -751,9 +772,17 @@ class _Engine:
                                       "the output example")
         return program
 
-    # -- top-level loops -----------------------------------------------------
+    # -- top-level loop ------------------------------------------------------
 
-    def run_bidirectional(self) -> SynthResult:
+    def _hypotheses(self, matched: Sequence[tuple[Yield, Hypothesis]]):
+        """This depth's hypothesis source, chosen by the search mode."""
+        if self.settings.mode == "forward-only":
+            return _SubsetSource(self.task.output, self.deadline,
+                                 {h.rows for _, h in matched})
+        return HypothesisGenerator(self.task.output, self.task.inputs,
+                                   self.settings)
+
+    def run(self) -> SynthResult:
         start = time.monotonic()
         matched: list[tuple[Yield, Hypothesis]] = []
         try:
@@ -762,56 +791,19 @@ class _Engine:
             for d in depths:
                 if d > 0:
                     self.expand(d)
-                generator = HypothesisGenerator(self.task.output,
-                                                self.task.inputs, self.settings)
-                while True:
-                    h = generator.next()
-                    if h is None:
-                        break
+                source = self._hypotheses(matched)
+                while (h := source.next()) is not None:
                     self.stats.hypotheses_tried += 1
                     result = self.match_hypothesis(h)
                     if result is None:
                         continue
-                    stmt, _ = result
                     self.stats.matches_solved += 1
-                    matched.append((stmt, h))
-                    generator.update_rank(h)
+                    matched.append((result[0], h))
+                    source.update_rank(h)
                     cover = self.assemble_mapping(matched)
                     if cover is not None:
                         program = self.assemble_program(cover)
                         return self._finish("solved", program, start)
-            return self._finish("exhausted", None, start)
-        except _SearchTimeout:
-            return self._finish("timeout", None, start)
-
-    def run_forward_only(self) -> SynthResult:
-        start = time.monotonic()
-        output = self.task.output
-        matched: list[tuple[Yield, Hypothesis]] = []
-        seen_rowsets = set()
-        try:
-            for d in range(1, max(self.settings.max_depth, 1) + 1):
-                if self.settings.max_depth > 0:
-                    self.expand(d)
-                # Brute force: all subsets of the output rows, larger first.
-                for k in range(output.nrows, 0, -1):
-                    for combo in itertools.combinations(output.rows, k):
-                        self.deadline.check()
-                        rows = frozenset(combo)
-                        if rows in seen_rowsets:
-                            continue
-                        self.stats.hypotheses_tried += 1
-                        h = Hypothesis(rows, 0, "signature-group")
-                        result = self.match_hypothesis(h)
-                        if result is None:
-                            continue
-                        seen_rowsets.add(rows)
-                        self.stats.matches_solved += 1
-                        matched.append((result[0], h))
-                        cover = self.assemble_mapping(matched)
-                        if cover is not None:
-                            program = self.assemble_program(cover)
-                            return self._finish("solved", program, start)
             return self._finish("exhausted", None, start)
         except _SearchTimeout:
             return self._finish("timeout", None, start)
@@ -826,16 +818,12 @@ class _Engine:
 
 
 def synthesize(task: SynthTask) -> SynthResult:
-    engine = _Engine(task)
-    if task.settings.mode == "forward-only":
-        return engine.run_forward_only()
-    return engine.run_bidirectional()
+    return _Engine(task).run()
 
 
 def synthesize_forward_only(task: SynthTask) -> SynthResult:
-    if task.settings.mode != "forward-only":
-        task = replace(task, settings=replace(task.settings, mode="forward-only"))
-    return _Engine(task).run_forward_only()
+    return synthesize(replace(task, settings=replace(task.settings,
+                                                      mode="forward-only")))
 
 
 def generate_hypotheses(output: Table, inputs: Sequence[Table],

@@ -143,6 +143,26 @@ def test_bench_regression_failure_exit(capsys, tmp_path):
     assert payload["reports"][0]["regression_failures"] == 1
 
 
-def test_usage_error_exits_nonzero():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_usage_error_exits_nonzero(capsys):
+    # Exit 1, not argparse's own 2, which would read as "timeout".
+    for argv in (["frobnicate"], ["synth", WRAP, "--mode", "nope"],
+                 ["synth", WRAP, "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_env_value_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("BEE_MAX_DEPTH", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", WRAP])
+    assert exc.value.code == EXIT_ERROR
+    assert "--max-depth" in capsys.readouterr().err
+
+
+def test_nan_timeout_rejected(capsys):
+    code = main(["synth", WRAP, "--timeout", "nan"])
+    _, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert "error:" in err

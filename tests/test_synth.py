@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from tablesynth.domains import load_benchmark
 from tablesynth.dsl import exec_program
 from tablesynth.progtext import format_program
 from tablesynth.synth import (
@@ -19,7 +20,7 @@ from tablesynth.synth import (
 from tablesynth.table import ColumnType, Id, Schema, Table
 from tablesynth.taskgen import ablation_family
 
-from conftest import SHIFT, SHIFT_SCHEMA
+from conftest import BENCHMARKS, SHIFT, SHIFT_SCHEMA
 
 INT = ColumnType.INT
 STR = ColumnType.STR
@@ -29,6 +30,10 @@ EXPECTED_RUNNING = """t1 = Filter(ti, isOdd(frame));
 t2 = Filter(ti, isEven(frame));
 Yield("shift", t1, id, "GB", linear(-5,-25)(frame), linear(-5,-25)(frame));
 Yield("shift", t2, id, "GB", linear(5,20)(frame), linear(5,20)(frame));
+"""
+EXPECTED_FAMILY = EXPECTED_RUNNING.replace('t2, id, "GB"', 't2, id, "R"')
+EXPECTED_WRAP = """t8 = Filter(elements, strEq(tag, "item"));
+Yield("wrap", t8, id, "div");
 """
 
 
@@ -145,6 +150,9 @@ def test_synthesize_respects_timeout(frames_in, shift_out):
     assert synthesize(task).status == "timeout"
     with pytest.raises(Exception):
         SynthSettings(timeout=0.0)
+    # NaN compares false with everything, so its deadline would never fire.
+    with pytest.raises(Exception):
+        SynthSettings(timeout=float("nan"))
 
 
 def test_unsolvable_at_depth_zero(frames_in, shift_out):
@@ -173,3 +181,49 @@ def test_task_rejects_mismatched_output_schema(frames_in):
     bad = Table("to", Schema([("action", STR), ("id", ID)]), [("shift", Id("f1"))])
     with pytest.raises(Exception):
         SynthTask((frames_in,), bad, SHIFT)
+
+
+def _family(k):
+    return lambda settings: ablation_family(k, settings)
+
+
+def _benchmark(name):
+    def make(settings):
+        case = load_benchmark(BENCHMARKS / f"{name}.json")
+        return SynthTask(case.inputs, case.output, case.action, case.constants,
+                         settings)
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, mode, max_depth, status, counters, program",
+    [
+        pytest.param(_family(4), "bi", 3, "solved", (25, 7, 2),
+                     EXPECTED_FAMILY, id="family4-bi"),
+        pytest.param(_family(4), "forward-only", 3, "solved", (25, 10, 2),
+                     EXPECTED_FAMILY, id="family4-fwd"),
+        pytest.param(_family(10), "forward-only", 3, "solved", (25, 562, 2),
+                     EXPECTED_FAMILY, id="family10-fwd"),
+        pytest.param(_benchmark("gif/running-example"), "bi", 3, "solved",
+                     (41, 12, 2), EXPECTED_RUNNING, id="gif-bi"),
+        pytest.param(_benchmark("gif/running-example"), "forward-only", 3,
+                     "solved", (41, 10, 2), EXPECTED_RUNNING, id="gif-fwd"),
+        pytest.param(_benchmark("xml/wrap-items"), "forward-only", 3, "solved",
+                     (38, 1, 1), EXPECTED_WRAP, id="wrap-fwd"),
+        pytest.param(_family(4), "forward-only", 0, "exhausted", (1, 15, 0),
+                     None, id="family4-fwd-depth0"),
+    ],
+)
+def test_search_counters_and_program_pinned(make, mode, max_depth, status,
+                                            counters, program):
+    # Both modes share one search loop; these pin its work per hypothesis
+    # source so a refactor cannot silently change what either one does.
+    settings = SynthSettings(max_depth=max_depth, mode=mode)
+    result = synthesize(make(settings))
+    stats = result.stats
+    assert result.status == status
+    assert stats.mode == mode
+    assert (stats.forward_tables, stats.hypotheses_tried,
+            stats.matches_solved) == counters
+    text = format_program(result.program) if result.program else None
+    assert text == program
