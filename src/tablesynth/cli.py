@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .domains import BenchmarkCase, check_overfit, load_benchmark, load_benchmark_dir
 from .dsl import ActionSignature, exec_program
-from .errors import TableSynthError, ValidationFailure
+from .errors import (BenchmarkFormatError, ProgramParseError, TableSynthError,
+                     ValidationFailure)
 from .progtext import format_program, parse_program
 from .synth import SynthResult, SynthSettings, SynthTask, synthesize
 from .table import ColumnType, table_from_json, table_to_json
@@ -85,21 +86,38 @@ def cmd_synth(args) -> int:
 
 
 def _load_exec_inputs(path: Path, use_pending: bool):
-    obj = json.loads(path.read_text())
-    if "tables" in obj:
+    """Tables and action from a tables file ({"action", "tables"}) or a
+    benchmark file."""
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise BenchmarkFormatError(f"cannot read {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise BenchmarkFormatError(f"{path}: expected a JSON object")
+    if "tables" not in obj:
+        case = load_benchmark(path)
+        tables = case.pending if use_pending else case.inputs
+        return list(tables), case.action
+    try:
         action = ActionSignature(
             obj["action"]["name"],
             tuple((a["name"], ColumnType(a["type"]))
                   for a in obj["action"]["args"]),
         )
-        return [table_from_json(t) for t in obj["tables"]], action
-    case = load_benchmark(path)
-    tables = case.pending if use_pending else case.inputs
-    return list(tables), case.action
+        tables = [table_from_json(t) for t in obj["tables"]]
+    except KeyError as exc:
+        raise BenchmarkFormatError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise BenchmarkFormatError(f"{path}: malformed tables file: {exc}") from None
+    return tables, action
 
 
 def cmd_exec(args) -> int:
-    program = parse_program(Path(args.program).read_text())
+    try:
+        text = Path(args.program).read_text()
+    except UnicodeDecodeError as exc:
+        raise ProgramParseError(f"{args.program}: not UTF-8 text: {exc}") from None
+    program = parse_program(text)
     tables, action = _load_exec_inputs(Path(args.tables), args.pending)
     try:
         out = exec_program(program, tables, action)

@@ -254,7 +254,7 @@ def load_benchmark(path) -> BenchmarkCase:
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise BenchmarkFormatError(f"cannot read {path}: {exc}") from None
     try:
         case_id = obj["id"]
@@ -271,6 +271,8 @@ def load_benchmark(path) -> BenchmarkCase:
             domain = find_domain(obj["domain"])
     except KeyError as exc:
         raise BenchmarkFormatError(f"{path}: missing key {exc}") from None
+    except TypeError as exc:
+        raise BenchmarkFormatError(f"{path}: malformed benchmark: {exc}") from None
     except TableSynthError as exc:
         raise BenchmarkFormatError(f"{path}: {exc}") from None
 
@@ -308,7 +310,10 @@ def load_benchmark(path) -> BenchmarkCase:
     reference = None
     prog_path = path.with_suffix(".prog")
     if prog_path.exists():
-        reference = prog_path.read_text()
+        try:
+            reference = prog_path.read_text()
+        except UnicodeDecodeError as exc:
+            raise BenchmarkFormatError(f"cannot read {prog_path}: {exc}") from None
     return BenchmarkCase(case_id, domain, description, inputs, output,
                          constants, pending, expected, action, reference)
 
@@ -337,7 +342,7 @@ def check_overfit(case: BenchmarkCase, program: Program) -> OverfitReport:
     except TableSynthError as exc:
         return OverfitReport(True, error=str(exc))
     want = case.expected
-    if got == want.renamed(got.name):
+    if got == want:
         return OverfitReport(False)
     missing = tuple(r for r in want.rows if r not in got)
     extra = tuple(r for r in got.rows if r not in want)

@@ -249,7 +249,8 @@ class Program:
 
 @dataclass
 class ExecState:
-    """Defined tables, keyed by name."""
+    """Defined tables, keyed by name. ``exec_transform`` reads it; only
+    ``define`` grows it."""
 
     tables: dict[str, Table] = field(default_factory=dict)
 
@@ -372,20 +373,20 @@ def exec_order(
 
 
 def exec_transform(state: ExecState, stmt: TransformStmt) -> Table:
+    """The table ``stmt`` computes from the tables defined in ``state``,
+    named ``stmt.target``. It is not defined in ``state``; the caller
+    decides whether to keep it."""
     if isinstance(stmt, Filter):
-        out = exec_filter(state[stmt.src], stmt.predicate, stmt.target)
-    elif isinstance(stmt, Join):
-        out = exec_join(state[stmt.src1], state[stmt.src2], stmt.col1, stmt.col2, stmt.target)
-    elif isinstance(stmt, GroupJoin):
-        out = exec_groupjoin(state[stmt.src], stmt.col_index, stmt.aggs, stmt.target)
-    elif isinstance(stmt, Order):
-        out = exec_order(
+        return exec_filter(state[stmt.src], stmt.predicate, stmt.target)
+    if isinstance(stmt, Join):
+        return exec_join(state[stmt.src1], state[stmt.src2], stmt.col1, stmt.col2, stmt.target)
+    if isinstance(stmt, GroupJoin):
+        return exec_groupjoin(state[stmt.src], stmt.col_index, stmt.aggs, stmt.target)
+    if isinstance(stmt, Order):
+        return exec_order(
             state[stmt.src], stmt.col, stmt.c_start, stmt.c_inv, stmt.col_index, stmt.target
         )
-    else:
-        raise SchemaError(f"not a transform statement: {stmt!r}")
-    state.define(out)
-    return out
+    raise SchemaError(f"not a transform statement: {stmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +435,7 @@ def exec_program(
         state.define(t)
     for i, stmt in enumerate(program.transform):
         try:
-            exec_transform(state, stmt)
+            state.define(exec_transform(state, stmt))
         except (SchemaError, FeatureMissError) as exc:
             raise SchemaError(f"transform statement {i}: {exc}") from exc
     out: Optional[Table] = None

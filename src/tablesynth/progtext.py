@@ -179,8 +179,9 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else ("eof", "")
+    def peek(self, ahead: int = 0):
+        i = self.pos + ahead
+        return self.toks[i] if i < len(self.toks) else ("eof", "")
 
     def take(self, kind=None, value=None):
         k, v = self.peek()
@@ -202,6 +203,10 @@ class _Parser:
     def done(self) -> bool:
         return self.pos == len(self.toks)
 
+    def at_id_constant(self) -> bool:
+        """At ``id:<label>``, as opposed to a column named ``id``."""
+        return self.peek() == ("name", "id") and self.peek(1)[1] == ":"
+
     # -- constants -----------------------------------------------------------
 
     def constant(self) -> Value:
@@ -212,7 +217,7 @@ class _Parser:
         if k == "int":
             self.pos += 1
             return int(v)
-        if k == "name" and v == "id" and self.toks[self.pos + 1][1] == ":":
+        if self.at_id_constant():
             self.pos += 2
             return Id(self.take("name"))
         raise ProgramParseError(f"expected a constant, found {v!r}")
@@ -296,7 +301,7 @@ class _Parser:
         arg_is_col = False
         if self.eat(","):
             k, v = self.peek()
-            if k == "name" and not (v == "id" and self.toks[self.pos + 1][1] == ":"):
+            if k == "name" and not self.at_id_constant():
                 self.pos += 1
                 arg, arg_is_col = v, True
             else:
@@ -307,9 +312,8 @@ class _Parser:
     # -- projections ---------------------------------------------------------
 
     def projection(self) -> Projection:
-        k, v = self.peek()
-        if k in ("str", "int") or (k == "name" and v == "id"
-                                   and self.toks[self.pos + 1][1] == ":"):
+        k = self.peek()[0]
+        if k in ("str", "int") or self.at_id_constant():
             return ConstP(self.constant())
         name = self.take("name")
         nxt = self.peek()[1]

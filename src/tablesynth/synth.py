@@ -48,6 +48,7 @@ from .dsl import (
 from .errors import EngineInternalError, SchemaError, TableSynthError
 from .features import (
     FeatureFamily,
+    enumerate_feature_families,
     solve_concat,
     solve_div,
     solve_linear,
@@ -121,12 +122,6 @@ class Hypothesis:
     rows: frozenset
     score: int
     provenance: str  # signature-group | complement | full-table
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    row_map: tuple[int, ...]  # t row index -> h row index
-    col_map: tuple[str, ...]  # human-readable choice per output column
 
 
 @dataclass
@@ -406,7 +401,7 @@ class _Engine:
         self.deadline = _Deadline(self.settings.timeout)
         self.stats = SynthStats(mode=self.settings.mode)
         self.entries: list[ForwardEntry] = []
-        self.by_name: dict[str, ForwardEntry] = {}
+        self.state = ExecState()  # every entry's table, by name
         self.seen_tables: dict[Table, ForwardEntry] = {}
         self.pred_memo: dict = {}
         self.solver_cache: dict = {}
@@ -420,7 +415,7 @@ class _Engine:
         while True:
             self.name_counter += 1
             name = f"t{self.name_counter}"
-            if name not in self.by_name:
+            if name not in self.state.tables:
                 return name
 
     def _add_entry(self, stmt, table: Table, depth: int) -> bool:
@@ -428,23 +423,19 @@ class _Engine:
             return False
         entry = ForwardEntry(stmt, table, depth, len(self.entries))
         self.entries.append(entry)
-        self.by_name[table.name] = entry
+        self.state.define(table)
         self.seen_tables[table] = entry
         self.stats.forward_tables = len(self.entries)
         return True
 
     def _try_stmt(self, stmt: TransformStmt, depth: int):
-        state = ExecState(dict(self.by_name_tables()))
         try:
-            table = exec_transform(state, stmt)
+            table = exec_transform(self.state, stmt)
         except TableSynthError:
             return
         if table.nrows == 0:
             return  # empty intermediates can never feed a Yield
         self._add_entry(stmt, table, depth)
-
-    def by_name_tables(self):
-        return {name: e.table for name, e in self.by_name.items()}
 
     def expand(self, d: int):
         existing = list(self.entries)
@@ -620,74 +611,41 @@ class _Engine:
         return True
 
     def _solve_columns(self, t: Table, h: Table,
-                       r: tuple[int, ...]):
+                       r: tuple[int, ...]) -> Optional[tuple[Projection, ...]]:
         """Find one projection per output column reproducing h under r."""
         projections: list[Projection] = [ConstP(self.task.action.name)]
-        choices = ["const action"]
-        schema = t.schema
-        int_cols = [n for n, ty in schema.columns if ty is ColumnType.INT]
-        str_cols = [n for n, ty in schema.columns if ty is ColumnType.STR]
         for j in range(1, len(h.schema)):
-            _, ty = h.schema.columns[j]
             want = tuple(h.rows[r[i]][j] for i in range(t.nrows))
-            found = None
-            for name, cty in schema.columns:
-                if cty is ty and t.column(name) == want:
-                    found = ColP(name)
-                    choices.append(f"col {name}")
-                    break
-            if found is None and ty is not ColumnType.ID and len(set(want)) == 1:
-                found = ConstP(want[0])
-                choices.append("const")
-            if found is None and ty is ColumnType.INT:
-                for family in (FeatureFamily.LINEAR, FeatureFamily.DIV,
-                               FeatureFamily.MOD):
-                    for name in int_cols:
-                        data = tuple(zip(t.column(name), want))
-                        inst = self._solve(family, data)
-                        if inst is not None:
-                            found = MutateP(inst, (name,))
-                            choices.append(f"{family.value}({name})")
-                            break
-                    if found:
-                        break
-                if found is None:
-                    for a, b in itertools.combinations(int_cols, 2):
-                        data = tuple(zip(t.column(a), t.column(b), want))
-                        inst = self._solve(FeatureFamily.SUM, data)
-                        if inst is not None:
-                            found = MutateP(inst, (a, b))
-                            choices.append(f"sum({a},{b})")
-                            break
-            if found is None and ty is ColumnType.STR:
-                for name in str_cols:
-                    data = tuple(zip(t.column(name), want))
-                    inst = self._solve(FeatureFamily.SUBSTRING, data)
-                    if inst is not None:
-                        found = MutateP(inst, (name,))
-                        choices.append(f"substring({name})")
-                        break
-                if found is None:
-                    for size in range(1, CONCAT_MAX_INPUTS + 1):
-                        for combo in itertools.permutations(str_cols, size):
-                            cols = tuple(t.column(c) for c in combo)
-                            data = tuple(
-                                (tuple(col[i] for col in cols), want[i])
-                                for i in range(t.nrows)
-                            )
-                            inst = self._solve(FeatureFamily.CONCAT, data)
-                            if inst is not None:
-                                found = MutateP(inst, combo)
-                                choices.append(f"concat{combo}")
-                                break
-                        if found:
-                            break
+            found = self._solve_column(t, h.schema.columns[j][1], want)
             if found is None:
                 return None
             projections.append(found)
-        return tuple(projections), tuple(choices)
+        return tuple(projections)
 
-    def match_hypothesis(self, h: Hypothesis):
+    def _solve_column(self, t: Table, ty: ColumnType,
+                      want: tuple) -> Optional[Projection]:
+        """A column of t equal to ``want``, else a constant, else the first
+        feature over 1..CONCAT_MAX_INPUTS columns of t that a solver fits."""
+        cols = {n: t.column(n) for n, cty in t.schema.columns if cty is ty}
+        for name, col in cols.items():
+            if col == want:
+                return ColP(name)
+        if ty is not ColumnType.ID and len(set(want)) == 1:
+            return ConstP(want[0])
+        for arity in range(1, CONCAT_MAX_INPUTS + 1):
+            for family in enumerate_feature_families((ty,) * arity, ty):
+                concat = family is FeatureFamily.CONCAT
+                pick = itertools.permutations if concat else itertools.combinations
+                for combo in pick(cols, arity):
+                    ins = [cols[c] for c in combo]
+                    data = tuple(zip(zip(*ins), want) if concat
+                                 else zip(*ins, want))
+                    inst = self._solve(family, data)
+                    if inst is not None:
+                        return MutateP(inst, combo)
+        return None
+
+    def match_hypothesis(self, h: Hypothesis) -> Optional[Yield]:
         """First forward table (ascending depth) admitting an exact match."""
         h_table = Table("h", self.task.output.schema, h.rows)
         for entry in self.entries:  # appended in (depth, order) order
@@ -696,21 +654,17 @@ class _Engine:
             if t.nrows < h_table.nrows:
                 continue
             for r in self._surjections(t, h_table):
-                solved = self._solve_columns(t, h_table, r)
-                if solved is None:
+                projections = self._solve_columns(t, h_table, r)
+                if projections is None:
                     continue
-                projections, choices = solved
                 stmt = Yield(t.name, projections)
-                self._verify_match(t, h_table, projections)
-                return stmt, MatchResult(r, choices)
+                self._verify_match(t, h_table, stmt)
+                return stmt
         return None
 
-    def _verify_match(self, t: Table, h_table: Table,
-                      projections: Sequence[Projection]):
-        state = ExecState({t.name: t})
-        got = exec_yield(state, Yield(t.name, tuple(projections)),
-                         self.task.action)
-        if got != h_table.renamed(got.name):
+    def _verify_match(self, t: Table, h_table: Table, stmt: Yield):
+        got = exec_yield(ExecState({t.name: t}), stmt, self.task.action)
+        if got != h_table:
             raise EngineInternalError("match replay does not reproduce hypothesis")
 
     # -- assembly ------------------------------------------------------------
@@ -746,7 +700,7 @@ class _Engine:
         needed: dict[str, ForwardEntry] = {}
 
         def visit(name: str):
-            entry = self.by_name[name]
+            entry = self.seen_tables[self.state[name]]
             if entry.stmt is None or name in needed:
                 return
             stmt = entry.stmt
@@ -767,7 +721,7 @@ class _Engine:
         if violations:
             raise EngineInternalError(f"assembled program invalid: {violations}")
         got = exec_program(program, self.task.inputs, self.task.action)
-        if got != self.task.output.renamed(got.name):
+        if got != self.task.output:
             raise EngineInternalError("assembled program does not reproduce "
                                       "the output example")
         return program
@@ -794,11 +748,11 @@ class _Engine:
                 source = self._hypotheses(matched)
                 while (h := source.next()) is not None:
                     self.stats.hypotheses_tried += 1
-                    result = self.match_hypothesis(h)
-                    if result is None:
+                    stmt = self.match_hypothesis(h)
+                    if stmt is None:
                         continue
                     self.stats.matches_solved += 1
-                    matched.append((result[0], h))
+                    matched.append((stmt, h))
                     source.update_rank(h)
                     cover = self.assemble_mapping(matched)
                     if cover is not None:

@@ -4,6 +4,9 @@ benchmark report schema."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -17,7 +20,7 @@ from tablesynth.cli import (
 )
 from tablesynth.table import table_from_json
 
-from conftest import BENCHMARKS, SCHEMAS
+from conftest import BENCHMARKS, ROOT, SCHEMAS
 
 WRAP = str(BENCHMARKS / "xml" / "wrap-items.json")
 WRAP_PROG = str(BENCHMARKS / "xml" / "wrap-items.prog")
@@ -108,6 +111,32 @@ def test_exec_invalid_program(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert code == EXIT_ERROR
     assert "invalid program" in err
+
+
+@pytest.mark.parametrize("program, tables", [
+    pytest.param(None, b"not json {", id="tables-not-json"),
+    pytest.param(None, b"[]", id="tables-top-level-list"),
+    pytest.param(None, b'{"tables": []}', id="tables-no-action"),
+    pytest.param(None, json.dumps({
+        "action": {"name": "wrap", "args": [{"name": "tag", "type": "Bogus"}]},
+        "tables": []}).encode(), id="tables-unknown-arg-type"),
+    pytest.param(b'Yield("wrap", \xff);', None, id="program-not-utf8"),
+])
+def test_exec_bad_file_exits_1_without_traceback(tmp_path, program, tables):
+    prog_path, tables_path = WRAP_PROG, WRAP
+    if program is not None:
+        prog_path = tmp_path / "bad.prog"
+        prog_path.write_bytes(program)
+    if tables is not None:
+        tables_path = tmp_path / "tables.json"
+        tables_path.write_bytes(tables)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tablesynth.cli", "exec", str(prog_path),
+         str(tables_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_bench_report_matches_schema(capsys, tmp_path):

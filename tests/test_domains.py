@@ -133,6 +133,22 @@ def test_load_rejects_mixed_actions(tmp_path):
         load_benchmark(_broken(tmp_path, mutate))
 
 
+@pytest.mark.parametrize("content", [b"[]", b'{"id": "x", "inputs": 5}',
+                                     b"\xff\xfe not utf-8"])
+def test_load_rejects_malformed_file(tmp_path, content):
+    p = tmp_path / "broken.json"
+    p.write_bytes(content)
+    with pytest.raises(BenchmarkFormatError):
+        load_benchmark(p)
+
+
+def test_load_rejects_non_utf8_reference_program(tmp_path):
+    p = _broken(tmp_path, lambda src: None)
+    p.with_suffix(".prog").write_bytes(b"\xff\xfe")
+    with pytest.raises(BenchmarkFormatError):
+        load_benchmark(p)
+
+
 def test_check_overfit_accepts_reference_programs():
     for case in load_benchmark_dir(BENCHMARKS):
         program = parse_program(case.reference_program)

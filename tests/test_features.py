@@ -13,11 +13,13 @@ from tablesynth.features import (
     ConcatProgram,
     ExtractSegment,
     ExtractSpec,
+    FeatureFamily,
     LiteralSegment,
     TokenClass,
     apply_feature,
     concat,
     div,
+    enumerate_feature_families,
     extract,
     linear,
     mod,
@@ -31,6 +33,7 @@ from tablesynth.features import (
     sum_feature,
 )
 from tablesynth.progtext import format_feature
+from tablesynth.table import ColumnType
 
 ALNUM = TokenClass("Alnum")
 DIGITS = TokenClass("Digits")
@@ -203,3 +206,23 @@ def test_solve_div_is_consistent_randomized():
         f = solve_div(pairs)
         assert f is not None
         assert all(apply_feature(f, (x,)) == y for x, y in pairs)
+
+
+# -- family enumeration --------------------------------------------------------
+
+INT, STR, ID = ColumnType.INT, ColumnType.STR, ColumnType.ID
+
+
+@pytest.mark.parametrize("ins, out, families", [
+    ((INT,), INT, [FeatureFamily.LINEAR, FeatureFamily.DIV, FeatureFamily.MOD]),
+    ((INT, INT), INT, [FeatureFamily.SUM]),
+    ((STR,), STR, [FeatureFamily.SUBSTRING, FeatureFamily.CONCAT]),
+    ((STR, STR), STR, [FeatureFamily.CONCAT]),
+    ((ID,), ID, []),
+    ((ID,), STR, []),
+    ((STR, ID), STR, []),
+    ((INT,), ID, []),
+])
+def test_enumerate_feature_families(ins, out, families):
+    # The matcher tries families in exactly this order, so it is pinned.
+    assert enumerate_feature_families(ins, out) == families

@@ -110,3 +110,10 @@ def test_parse_rejects_garbage():
     with pytest.raises(ProgramParseError):
         # Transform statements may not follow the first Yield.
         parse_program('Yield("a", ti, id);\nt1 = Filter(ti, isOdd(n));')
+    # Text that ends right after ``id``, where ``id:<label>`` could begin.
+    for text in ('Yield("fill", sheet, id', 'Yield("fill", sheet, "a", id',
+                 "u = Filter(t, strEq(tag, id", 'Yield("fill", sheet, id:'):
+        with pytest.raises(ProgramParseError):
+            parse_program(text)
+    with pytest.raises(ProgramParseError):
+        parse_predicate("strEq(tag, id")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from tablesynth.domains import load_benchmark
-from tablesynth.dsl import exec_program
+from tablesynth.dsl import ActionSignature, exec_program
 from tablesynth.progtext import format_program
 from tablesynth.synth import (
     SynthSettings,
@@ -20,7 +20,7 @@ from tablesynth.synth import (
 from tablesynth.table import ColumnType, Id, Schema, Table
 from tablesynth.taskgen import ablation_family
 
-from conftest import BENCHMARKS, SHIFT, SHIFT_SCHEMA
+from conftest import BENCHMARKS, ROOT, SHIFT, SHIFT_SCHEMA
 
 INT = ColumnType.INT
 STR = ColumnType.STR
@@ -35,6 +35,12 @@ EXPECTED_FAMILY = EXPECTED_RUNNING.replace('t2, id, "GB"', 't2, id, "R"')
 EXPECTED_WRAP = """t8 = Filter(elements, strEq(tag, "item"));
 Yield("wrap", t8, id, "div");
 """
+EXPECTED_FILL_SUM = 'Yield("fill", sheet, sum(0)(col1, col2), row, 3);\n'
+EXPECTED_FILL_ROWSUM = """t247 = GroupJoin(cells, row, sum(content));
+Yield("fill", t247, sum_content, row, 3);
+"""
+EXPECTED_RENAME = ('Yield("rename", files, id, '
+                   'concat[x1{Alnum#1} "_" x0{Digits#1}](name, owner));\n')
 
 
 # -- consistency score -------------------------------------------------------
@@ -195,6 +201,20 @@ def _benchmark(name):
     return make
 
 
+def _rename(settings):
+    """newname = owner + "_" + digits(name): a concat over two columns."""
+    files = Table("files", Schema([("id", ID), ("name", STR), ("owner", STR)]), [
+        (Id("f1"), "report12.pdf", "alice"), (Id("f2"), "notes7.txt", "bob"),
+        (Id("f3"), "photo33.jpg", "carol"), (Id("f4"), "draft5.doc", "dave"),
+    ])
+    action = ActionSignature("rename", (("id", ID), ("newname", STR)))
+    out = Table("to", action.output_schema(), [
+        ("rename", Id("f1"), "alice_12"), ("rename", Id("f2"), "bob_7"),
+        ("rename", Id("f3"), "carol_33"), ("rename", Id("f4"), "dave_5"),
+    ])
+    return SynthTask((files,), out, action, (), settings)
+
+
 @pytest.mark.parametrize(
     "make, mode, max_depth, status, counters, program",
     [
@@ -212,6 +232,14 @@ def _benchmark(name):
                      (38, 1, 1), EXPECTED_WRAP, id="wrap-fwd"),
         pytest.param(_family(4), "forward-only", 0, "exhausted", (1, 15, 0),
                      None, id="family4-fwd-depth0"),
+        # The matcher's candidate order: a two-column sum, a GroupJoin
+        # aggregate, and a concat whose inputs come in permutation order.
+        pytest.param(_benchmark("spreadsheet/fill-sum"), "bi", 3, "solved",
+                     (130, 1, 1), EXPECTED_FILL_SUM, id="fill-sum-bi"),
+        pytest.param(_benchmark("spreadsheet/fill-rowsum"), "bi", 3, "solved",
+                     (550, 1, 1), EXPECTED_FILL_ROWSUM, id="fill-rowsum-bi"),
+        pytest.param(_rename, "bi", 1, "solved", (8, 1, 1), EXPECTED_RENAME,
+                     id="rename-two-inputs-bi"),
     ],
 )
 def test_search_counters_and_program_pinned(make, mode, max_depth, status,
@@ -227,3 +255,21 @@ def test_search_counters_and_program_pinned(make, mode, max_depth, status,
             stats.matches_solved) == counters
     text = format_program(result.program) if result.program else None
     assert text == program
+
+
+def test_tracer_hooks_reach_the_engine(monkeypatch):
+    # The benchmark's traced run patches engine names by attribute; a rename
+    # here would silently zero its per-layer counters.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()  # inside the try: a failed install is undone too
+        result = synthesize(_rename(SynthSettings(max_depth=1)))
+    finally:
+        tracer.uninstall()
+    assert result.status == "solved"
+    for counter in ("synth.exec_transform.calls", "synth.forward.kept",
+                    "synth.solve.calls"):
+        assert tracer.count[counter] > 0, counter
