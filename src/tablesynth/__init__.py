@@ -32,7 +32,6 @@ from .features import (
     ExtractSpec,
     FeatureFamily,
     FeatureInstance,
-    SolverCaps,
     TokenClass,
     apply_feature,
     enumerate_feature_families,

@@ -14,7 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-from .domains import BenchmarkCase, check_overfit, load_benchmark, load_benchmark_dir
+from .domains import (BenchmarkCase, benchmark_from_json, check_overfit, load_benchmark,
+                      load_benchmark_dir, read_json_file)
 from .dsl import ActionSignature, exec_program
 from .errors import (BenchmarkFormatError, ProgramParseError, TableSynthError,
                      ValidationFailure)
@@ -88,14 +89,11 @@ def cmd_synth(args) -> int:
 def _load_exec_inputs(path: Path, use_pending: bool):
     """Tables and action from a tables file ({"action", "tables"}) or a
     benchmark file."""
-    try:
-        obj = json.loads(path.read_text())
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise BenchmarkFormatError(f"cannot read {path}: {exc}") from None
+    obj = read_json_file(path)
     if not isinstance(obj, dict):
         raise BenchmarkFormatError(f"{path}: expected a JSON object")
     if "tables" not in obj:
-        case = load_benchmark(path)
+        case = benchmark_from_json(obj, path)
         tables = case.pending if use_pending else case.inputs
         return list(tables), case.action
     try:

@@ -250,12 +250,23 @@ class BenchmarkCase:
         return self.reference_program is not None
 
 
-def load_benchmark(path) -> BenchmarkCase:
-    path = Path(path)
+def read_json_file(path: Path):
+    """The parsed JSON contents of ``path``."""
     try:
-        obj = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise BenchmarkFormatError(f"cannot read {path}: {exc}") from None
+
+
+def load_benchmark(path) -> BenchmarkCase:
+    path = Path(path)
+    return benchmark_from_json(read_json_file(path), path)
+
+
+def benchmark_from_json(obj, path: Path) -> BenchmarkCase:
+    """The benchmark case that ``obj``, parsed from the file ``path``,
+    describes. Its reference program is read from the sibling ``.prog``
+    file, if there is one."""
     try:
         case_id = obj["id"]
         description = obj.get("description", "")

@@ -13,16 +13,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import SchemaError, ValidationFailure
 from .features import FeatureInstance, apply_feature, FeatureMissError
-from .table import (
-    ColumnType,
-    Schema,
-    Table,
-    Value,
-    append_column,
-    check_int,
-    type_of,
-    union,
-)
+from .table import ColumnType, Schema, Table, Value, check_int, type_of
 
 # ---------------------------------------------------------------------------
 # Predicates.
@@ -323,6 +314,21 @@ def _aggregate(agg: str, values: Sequence[Value]) -> int:
     raise SchemaError(f"unknown aggregation {agg!r}")
 
 
+def _with_int_columns(
+    t: Table, columns: Sequence[tuple[str, Sequence[int]]], name: str
+) -> Table:
+    """``t`` extended by Int columns, built once and named ``name``.
+    ``columns`` holds (base name, values aligned to ``t.rows``) pairs; each
+    column takes a fresh name against the columns before it."""
+    names = list(t.schema.names)
+    for base, _ in columns:
+        names.append(_fresh_col(base, names))
+    schema = Schema(list(t.schema.columns)
+                    + [(n, ColumnType.INT) for n in names[len(t.schema):]])
+    new_cells = zip(*(vals for _, vals in columns))
+    return Table(name, schema, (row + cells for row, cells in zip(t.rows, new_cells)))
+
+
 def exec_groupjoin(
     t: Table, col_index: str, aggs: Sequence[tuple[str, str]], name: str = "grouped"
 ) -> Table:
@@ -338,13 +344,12 @@ def exec_groupjoin(
     groups: dict[Value, list] = {}
     for row in t.rows:
         groups.setdefault(row[gi], []).append(row)
-    out = t
+    columns = []
     for agg, col in aggs:
         ci = t.schema.index(col)
-        vals = [_aggregate(agg, [g[ci] for g in groups[row[gi]]]) for row in out.rows]
-        new_name = _fresh_col(f"{agg}_{col}", out.schema.names)
-        out = append_column(out, new_name, ColumnType.INT, vals)
-    return out.renamed(name)
+        vals = [_aggregate(agg, [g[ci] for g in groups[row[gi]]]) for row in t.rows]
+        columns.append((f"{agg}_{col}", vals))
+    return _with_int_columns(t, columns, name)
 
 
 def exec_order(
@@ -368,8 +373,7 @@ def exec_order(
         else:
             smaller = sum(1 for r in group if r[ci] < row[ci])
         ranks.append(check_int(c_start + smaller))
-    new_name = _fresh_col(f"ord_{col}", t.schema.names)
-    return append_column(t, new_name, ColumnType.INT, ranks).renamed(name)
+    return _with_int_columns(t, [(f"ord_{col}", ranks)], name)
 
 
 def exec_transform(state: ExecState, stmt: TransformStmt) -> Table:
@@ -425,7 +429,8 @@ def exec_yield(state: ExecState, stmt: Yield, action: ActionSignature) -> Table:
 def exec_program(
     program: Program, inputs: Sequence[Table], action: ActionSignature
 ) -> Table:
-    """Run the program over its inputs; returns the union of Yield outputs."""
+    """Run the program over its inputs; returns the union of Yield outputs,
+    named ``out``."""
     violations = validate_program(program, [t.schema for t in inputs],
                                   [t.name for t in inputs], action)
     if violations:
@@ -438,15 +443,13 @@ def exec_program(
             state.define(exec_transform(state, stmt))
         except (SchemaError, FeatureMissError) as exc:
             raise SchemaError(f"transform statement {i}: {exc}") from exc
-    out: Optional[Table] = None
+    rows = []
     for i, stmt in enumerate(program.mapping):
         try:
-            part = exec_yield(state, stmt, action)
+            rows += exec_yield(state, stmt, action).rows
         except (SchemaError, FeatureMissError) as exc:
             raise SchemaError(f"mapping statement {i}: {exc}") from exc
-        out = part if out is None else union(out, part)
-    assert out is not None
-    return out.renamed("out")
+    return Table("out", action.output_schema(), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -459,30 +462,25 @@ class Violation:
     message: str
 
 
+def _sources(stmt: TransformStmt) -> list[str]:
+    return [stmt.src1, stmt.src2] if isinstance(stmt, Join) else [stmt.src]
+
+
 def _transform_schema(stmt: TransformStmt, env: dict[str, Schema]) -> Schema:
     """Schema of a transform statement's result, given defined schemas.
 
-    Mirrors the interpreter; raises SchemaError on any type problem."""
+    Runs the statement on empty tables of its sources' schemas, except a
+    Filter, whose predicate an empty table would never evaluate; raises
+    SchemaError on any type problem."""
     if isinstance(stmt, Filter):
         schema = env[stmt.src]
         problems = _check_predicate(stmt.predicate, schema)
         if problems:
             raise SchemaError("; ".join(problems))
         return schema
-    probe_rows: list = []
-    if isinstance(stmt, Join):
-        t1 = Table(stmt.src1, env[stmt.src1], probe_rows)
-        t2 = Table(stmt.src2, env[stmt.src2], probe_rows)
-        return exec_join(t1, t2, stmt.col1, stmt.col2, stmt.target).schema
-    if isinstance(stmt, GroupJoin):
-        t = Table(stmt.src, env[stmt.src], probe_rows)
-        return exec_groupjoin(t, stmt.col_index, stmt.aggs, stmt.target).schema
-    if isinstance(stmt, Order):
-        t = Table(stmt.src, env[stmt.src], probe_rows)
-        return exec_order(
-            t, stmt.col, stmt.c_start, stmt.c_inv, stmt.col_index, stmt.target
-        ).schema
-    raise SchemaError(f"not a transform statement: {stmt!r}")
+    srcs = _sources(stmt)
+    probe = ExecState({src: Table(src, env[src], []) for src in srcs})
+    return exec_transform(probe, stmt).schema
 
 
 def validate_program(
@@ -497,11 +495,7 @@ def validate_program(
     violations: list[Violation] = []
     env: dict[str, Schema] = dict(zip(input_names, input_schemas))
     for i, stmt in enumerate(program.transform):
-        srcs = (
-            [stmt.src1, stmt.src2]
-            if isinstance(stmt, Join)
-            else [stmt.src]
-        )
+        srcs = _sources(stmt)
         missing = [s for s in srcs if s not in env]
         if missing:
             violations.append(

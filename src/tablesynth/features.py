@@ -33,17 +33,6 @@ class FeatureFamily(enum.Enum):
     CONCAT = "concat"
 
 
-#: Deterministic enumeration order for type-compatible families.
-FAMILY_ORDER = (
-    FeatureFamily.LINEAR,
-    FeatureFamily.DIV,
-    FeatureFamily.MOD,
-    FeatureFamily.SUM,
-    FeatureFamily.SUBSTRING,
-    FeatureFamily.CONCAT,
-)
-
-
 def enumerate_feature_families(
     in_types: Sequence[ColumnType], out_type: ColumnType
 ) -> list[FeatureFamily]:
@@ -277,19 +266,18 @@ def apply_feature(f: FeatureInstance, args: Sequence[Value]) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# Solver caps (engine configuration for the enumerative solvers).
+# Solver caps: the bounds of the enumerative solvers' search spaces.
 
-
-@dataclass(frozen=True)
-class SolverCaps:
-    div_max_dividend: int = 100
-    max_tokens: int = 3
-    max_occurrence: int = 3
-    max_segments: int = 6
-    max_literal_len: int = 20
-
-
-DEFAULT_CAPS = SolverCaps()
+#: Largest divisor ``solve_div`` tries.
+DIV_MAX_DIVIDEND = 100
+#: Most token classes in one extract spec.
+MAX_TOKENS = 3
+#: Largest occurrence index, counted from either end.
+MAX_OCCURRENCE = 3
+#: Most segments in one concat program.
+MAX_SEGMENTS = 6
+#: Longest literal segment.
+MAX_LITERAL_LEN = 20
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +318,7 @@ def solve_sum(triples: Sequence[tuple[int, int, int]]) -> Optional[FeatureInstan
     return None
 
 
-def solve_div(
-    pairs: Sequence[tuple[int, int]], caps: SolverCaps = DEFAULT_CAPS
-) -> Optional[FeatureInstance]:
+def solve_div(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
     """Fit y = floor((x + b) / d) by interval intersection over b for each d.
 
     Each pair constrains b to [d*y - x, d*y - x + d - 1]. The first nonempty
@@ -340,7 +326,7 @@ def solve_div(
     """
     if len(pairs) < 2:
         return None
-    for d in range(2, caps.div_max_dividend + 1):
+    for d in range(2, DIV_MAX_DIVIDEND + 1):
         lo, hi = None, None
         for x, y in pairs:
             plo = d * y - x
@@ -375,13 +361,13 @@ def _punct_classes(texts: Sequence[str]) -> list[TokenClass]:
     return [TokenClass("Punct", c) for c in chars]
 
 
-def _spec_space(texts: Sequence[str], caps: SolverCaps):
+def _spec_space(texts: Sequence[str]):
     """Enumerate extract specs: fewer tokens first, then occurrence order
     1, 2, ..., then -1, -2, ... Adjacent equal tokens can never match a
     maximal-run sequence and are skipped."""
     classes = list(BASE_TOKEN_CLASSES) + _punct_classes(texts)
-    occs = list(range(1, caps.max_occurrence + 1)) + [
-        -k for k in range(1, caps.max_occurrence + 1)
+    occs = list(range(1, MAX_OCCURRENCE + 1)) + [
+        -k for k in range(1, MAX_OCCURRENCE + 1)
     ]
 
     def sequences(length: int):
@@ -394,15 +380,13 @@ def _spec_space(texts: Sequence[str], caps: SolverCaps):
                 if c != prefix[-1]:
                     yield prefix + (c,)
 
-    for length in range(1, caps.max_tokens + 1):
+    for length in range(1, MAX_TOKENS + 1):
         for tokens in sequences(length):
             for occ in occs:
                 yield ExtractSpec(tokens, occ)
 
 
-def solve_substring(
-    pairs: Sequence[tuple[str, str]], caps: SolverCaps = DEFAULT_CAPS
-) -> Optional[FeatureInstance]:
+def solve_substring(pairs: Sequence[tuple[str, str]]) -> Optional[FeatureInstance]:
     """Find one extract spec reproducing every (input, output) pair."""
     if not pairs or any(not y for _, y in pairs):
         return None
@@ -410,7 +394,7 @@ def solve_substring(
     if any(y not in x for x, y in pairs):
         return None
     inputs = [x for x, _ in pairs]
-    for spec in _spec_space(inputs, caps):
+    for spec in _spec_space(inputs):
         try:
             if all(extract(spec, x) == y for x, y in pairs):
                 return substring(spec)
@@ -419,9 +403,7 @@ def solve_substring(
     return None
 
 
-def solve_concat(
-    rows: Sequence[tuple[tuple[str, ...], str]], caps: SolverCaps = DEFAULT_CAPS
-) -> Optional[FeatureInstance]:
+def solve_concat(rows: Sequence[tuple[tuple[str, ...], str]]) -> Optional[FeatureInstance]:
     """Find a concat program (extract and literal segments) reproducing every
     (inputs, output) row. Searches by increasing segment count; at equal
     count, extract segments are preferred over literals."""
@@ -431,7 +413,7 @@ def solve_concat(
     if any(len(ins) != n_inputs for ins, _ in rows):
         return None
     all_inputs = [x for ins, _ in rows for x in ins]
-    specs = list(_spec_space(all_inputs, caps))
+    specs = list(_spec_space(all_inputs))
 
     # Precompute per-row extract results for each (input position, spec).
     # A usable segment must extract successfully on every row and the result
@@ -465,7 +447,7 @@ def solve_concat(
                 yield ExtractSegment(pos, specs[si]), tuple(nxt), 0
         # Literal moves: common across rows by construction.
         remaining0 = outs[0][positions[0]:]
-        limit = min(len(remaining0), caps.max_literal_len)
+        limit = min(len(remaining0), MAX_LITERAL_LEN)
         for length in range(limit, 0, -1):
             lit = remaining0[:length]
             if all(out.startswith(lit, p) for out, p in zip(outs, positions)):
@@ -486,7 +468,7 @@ def solve_concat(
             return concat(ConcatProgram(segs))
         if best.get(positions, (lit_cost, n_segs)) < (lit_cost, n_segs):
             continue
-        if n_segs == caps.max_segments:
+        if n_segs == MAX_SEGMENTS:
             continue
         for seg, nxt, step_cost in moves(positions):
             cost = (lit_cost + step_cost, n_segs + 1)

@@ -56,7 +56,7 @@ from .features import (
     solve_substring,
     solve_sum,
 )
-from .table import ColumnType, Schema, Table, Value, _sort_key
+from .table import ColumnType, Schema, Table, Value, row_key
 
 # ---------------------------------------------------------------------------
 # Configuration and result types.
@@ -218,12 +218,8 @@ def score_subtable(rows: Sequence, schema: Schema, inputs: Sequence[Table]) -> i
 # Hypothesis generation and ranking.
 
 
-def _row_key(row) -> tuple:
-    return tuple(_sort_key(v) for v in row)
-
-
 def _rowset_key(rows: frozenset) -> tuple:
-    return tuple(sorted(_row_key(r) for r in rows))
+    return tuple(sorted(row_key(r) for r in rows))
 
 
 class HypothesisGenerator:

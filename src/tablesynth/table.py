@@ -62,11 +62,10 @@ def check_int(n: int) -> int:
     return n
 
 
-def _sort_key(value: Value):
-    # Within one column all values share a type, so per-type keys suffice.
-    if isinstance(value, Id):
-        return value.label
-    return value
+def row_key(row: Sequence[Value]) -> tuple:
+    """The canonical sort key of a row: Id cells compare by label. Within one
+    column all values share a type, so per-type keys suffice."""
+    return tuple(v.label if isinstance(v, Id) else v for v in row)
 
 
 class Schema:
@@ -145,7 +144,7 @@ class Table:
                 if isinstance(value, int):
                     check_int(value)
             checked.add(row)
-        self.rows = tuple(sorted(checked, key=lambda r: tuple(_sort_key(v) for v in r)))
+        self.rows = tuple(sorted(checked, key=row_key))
         self._rowset = frozenset(self.rows)
 
     @property

@@ -23,6 +23,7 @@ from .dsl import (
     Yield,
     exec_program,
 )
+from .errors import TableSynthError
 from .features import linear, sum_feature
 from .synth import SynthSettings, SynthTask
 from .table import ColumnType, Id, Schema, Table
@@ -139,7 +140,7 @@ def random_task(rng: random.Random,
         program = Program(tuple(transform), tuple(mapping))
         try:
             output = exec_program(program, [inp], action)
-        except Exception:
+        except TableSynthError:
             continue
         if not output.rows:
             continue

@@ -36,7 +36,6 @@ from tablesynth.dsl import (
     exec_join,
     exec_order,
     exec_program,
-    union,
 )
 from tablesynth.features import (
     ConcatProgram,
@@ -61,7 +60,7 @@ from tablesynth.features import (
 from tablesynth.errors import FeatureMissError
 from tablesynth.progtext import format_program, parse_program
 from tablesynth.synth import SynthSettings, SynthTask, synthesize, synthesize_forward_only
-from tablesynth.table import ColumnType, Id, Schema, Table, project
+from tablesynth.table import ColumnType, Id, Schema, Table, project, union
 from tablesynth.taskgen import ablation_family, random_task
 
 from conftest import BENCHMARKS

@@ -74,6 +74,7 @@ def test_exec_reference_program(capsys):
     code = main(["exec", WRAP_PROG, WRAP])
     out, _ = capsys.readouterr()
     assert code == EXIT_SOLVED
+    assert json.loads(out)["name"] == "out"
     table = table_from_json(json.loads(out))
     case = json.loads(open(WRAP).read())
     assert table == table_from_json(case["output"]).renamed(table.name)

@@ -107,6 +107,29 @@ def test_groupjoin_name_collision_gets_suffix():
               [(1, 0, 4)])
     g = exec_groupjoin(t, "g", [("max", "v")])
     assert "max_v_2" in g.schema
+    # The second aggregate's name is fresh against the first's.
+    t = Table("t", Schema([("g", INT), ("v", INT), ("max_v", INT), ("v_2", INT)]),
+              [(1, 4, 0, 9)])
+    g = exec_groupjoin(t, "g", [("max", "v"), ("max", "v_2")])
+    assert g.schema.names[4:] == ("max_v_2", "max_v_2_2")
+    assert g.rows == ((1, 4, 0, 9, 4, 9),)
+
+
+def test_operators_build_one_table_each(monkeypatch):
+    t = Table("t", Schema([("g", INT), ("v", INT)]), [(1, 4), (1, 7), (2, 10)])
+    built = []
+    init = Table.__init__
+
+    def counting_init(self, name, schema, rows):
+        built.append(name)
+        init(self, name, schema, rows)
+
+    monkeypatch.setattr(Table, "__init__", counting_init)
+    exec_groupjoin(t, "g", [("max", "v"), ("sum", "v")], "grouped")
+    assert built == ["grouped"]
+    built.clear()
+    exec_order(t, "v", col_index="g", name="ordered")
+    assert built == ["ordered"]
 
 
 def test_order_competition_ranking():
