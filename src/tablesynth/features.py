@@ -119,14 +119,18 @@ def _compiled(tokens: tuple[TokenClass, ...]):
     return re.compile("".join(t.pattern() for t in tokens))
 
 
+def _pick(matches: Sequence[str], k: int) -> Optional[str]:
+    """The k-th of ``matches`` (negative k counts from the end), or None."""
+    idx = k - 1 if k > 0 else len(matches) + k
+    return matches[idx] if 0 <= idx < len(matches) else None
+
+
 def extract(spec: ExtractSpec, text: str) -> str:
     """Apply ``spec`` to ``text``; raises FeatureMissError when nothing matches."""
-    matches = [m.group(0) for m in _compiled(spec.tokens).finditer(text)]
-    k = spec.occurrence
-    idx = k - 1 if k > 0 else len(matches) + k
-    if not 0 <= idx < len(matches):
-        raise FeatureMissError(f"{spec} has no match {k} in {text!r}")
-    return matches[idx]
+    found = _pick(_compiled(spec.tokens).findall(text), spec.occurrence)
+    if found is None:
+        raise FeatureMissError(f"{spec} has no match {spec.occurrence} in {text!r}")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +360,18 @@ def solve_mod(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
 # String solvers.
 
 
-def _punct_classes(texts: Sequence[str]) -> list[TokenClass]:
+def _token_classes(texts: Sequence[str]) -> list[TokenClass]:
+    """The base classes, then one Punct class per punctuation char in ``texts``."""
     chars = sorted({c for s in texts for c in s if not c.isalnum() and c not in " \t"})
-    return [TokenClass("Punct", c) for c in chars]
+    return list(BASE_TOKEN_CLASSES) + [TokenClass("Punct", c) for c in chars]
 
 
-def _spec_space(texts: Sequence[str]):
-    """Enumerate extract specs: fewer tokens first, then occurrence order
-    1, 2, ..., then -1, -2, ... Adjacent equal tokens can never match a
-    maximal-run sequence and are skipped."""
-    classes = list(BASE_TOKEN_CLASSES) + _punct_classes(texts)
+def _extractions(classes: Sequence[TokenClass], texts: Sequence[str]):
+    """Yield ``(spec, [extract(spec, t) for t in texts])`` for every extract
+    spec that matches on every text: fewer tokens first, then occurrence
+    order 1, 2, ..., then -1, -2, ... Each token sequence scans each text
+    once. Adjacent equal tokens can never match a maximal-run sequence and
+    are skipped."""
     occs = list(range(1, MAX_OCCURRENCE + 1)) + [
         -k for k in range(1, MAX_OCCURRENCE + 1)
     ]
@@ -382,8 +388,14 @@ def _spec_space(texts: Sequence[str]):
 
     for length in range(1, MAX_TOKENS + 1):
         for tokens in sequences(length):
+            pattern = _compiled(tokens)
+            found = [pattern.findall(t) for t in texts]
+            if not all(found):
+                continue
             for occ in occs:
-                yield ExtractSpec(tokens, occ)
+                results = [_pick(matches, occ) for matches in found]
+                if None not in results:
+                    yield ExtractSpec(tokens, occ), results
 
 
 def solve_substring(pairs: Sequence[tuple[str, str]]) -> Optional[FeatureInstance]:
@@ -394,12 +406,10 @@ def solve_substring(pairs: Sequence[tuple[str, str]]) -> Optional[FeatureInstanc
     if any(y not in x for x, y in pairs):
         return None
     inputs = [x for x, _ in pairs]
-    for spec in _spec_space(inputs):
-        try:
-            if all(extract(spec, x) == y for x, y in pairs):
-                return substring(spec)
-        except FeatureMissError:
-            continue
+    outputs = [y for _, y in pairs]
+    for spec, results in _extractions(_token_classes(inputs), inputs):
+        if results == outputs:
+            return substring(spec)
     return None
 
 
@@ -412,39 +422,28 @@ def solve_concat(rows: Sequence[tuple[tuple[str, ...], str]]) -> Optional[Featur
     n_inputs = len(rows[0][0])
     if any(len(ins) != n_inputs for ins, _ in rows):
         return None
-    all_inputs = [x for ins, _ in rows for x in ins]
-    specs = list(_spec_space(all_inputs))
-
-    # Precompute per-row extract results for each (input position, spec).
-    # A usable segment must extract successfully on every row and the result
-    # must occur in that row's output, otherwise it can never be placed.
-    piece: dict[tuple[int, int], list[str]] = {}
-    for pos in range(n_inputs):
-        for si, spec in enumerate(specs):
-            results = []
-            for ins, out in rows:
-                try:
-                    r = extract(spec, ins[pos])
-                except FeatureMissError:
-                    break
-                if r not in out:
-                    break
-                results.append(r)
-            else:
-                piece[(pos, si)] = results
-
+    classes = _token_classes([x for ins, _ in rows for x in ins])
     outs = [out for _, out in rows]
+
+    # A usable segment must extract on every row and the result must occur
+    # in that row's output, otherwise it can never be placed.
+    pieces = [
+        (ExtractSegment(pos, spec), results)
+        for pos in range(n_inputs)
+        for spec, results in _extractions(classes, [ins[pos] for ins, _ in rows])
+        if all(r in out for r, out in zip(results, outs))
+    ]
 
     def moves(positions: tuple[int, ...]):
         # Extract moves carry zero literal cost and are explored first.
-        for (pos, si), results in piece.items():
+        for seg, results in pieces:
             nxt = []
             for p, out, r in zip(positions, outs, results):
                 if not out.startswith(r, p):
                     break
                 nxt.append(p + len(r))
             else:
-                yield ExtractSegment(pos, specs[si]), tuple(nxt), 0
+                yield seg, tuple(nxt), 0
         # Literal moves: common across rows by construction.
         remaining0 = outs[0][positions[0]:]
         limit = min(len(remaining0), MAX_LITERAL_LEN)

@@ -28,6 +28,7 @@ from .dsl import (
     Not,
     Or,
     Order,
+    PREDICATE_SYMBOLS,
     Predicate,
     Program,
     Projection,
@@ -37,6 +38,7 @@ from .dsl import (
 )
 from .errors import ProgramParseError
 from .features import (
+    BASE_TOKEN_CLASSES,
     ConcatProgram,
     ExtractSegment,
     ExtractSpec,
@@ -56,13 +58,10 @@ from .table import Id, Value
 # ---------------------------------------------------------------------------
 # Printing.
 
-_SYMBOL_TEXT = {
-    "IntEq": "intEq", "IntLt": "intLt", "IntLeq": "intLeq",
-    "IntGt": "intGt", "IntGeq": "intGeq", "StrEq": "strEq",
-    "IsSubstring": "isSubstring", "StartsWith": "startsWith",
-    "EndsWith": "endsWith", "IsOdd": "isOdd", "IsEven": "isEven",
-}
+#: Predicate symbols print with a lowercased first letter: ``IsOdd`` -> ``isOdd``.
+_SYMBOL_TEXT = {sym: sym[0].lower() + sym[1:] for sym in PREDICATE_SYMBOLS}
 _TEXT_SYMBOL = {v: k for k, v in _SYMBOL_TEXT.items()}
+_TOKEN_CLASS_NAMES = frozenset(c.kind for c in BASE_TOKEN_CLASSES)
 
 
 def _quote(s: str) -> str:
@@ -234,10 +233,9 @@ class _Parser:
                 tokens.append(TokenClass("Punct", v[1]))
             elif k == "name":
                 self.pos += 1
-                tokens.append(TokenClass(v))
-                if v not in ("Digits", "Lower", "Upper", "Alpha", "Alnum",
-                             "Whitespace"):
+                if v not in _TOKEN_CLASS_NAMES:
                     raise ProgramParseError(f"unknown token class {v!r}")
+                tokens.append(TokenClass(v))
             else:
                 raise ProgramParseError(f"bad token class {v!r}")
         self.take(value="#")

@@ -43,9 +43,9 @@ from .dsl import (
     exec_transform,
     exec_yield,
     ExecState,
-    validate_program,
 )
-from .errors import EngineInternalError, SchemaError, TableSynthError
+from .errors import (EngineInternalError, SchemaError, TableSynthError,
+                     ValidationFailure)
 from .features import (
     FeatureFamily,
     enumerate_feature_families,
@@ -180,15 +180,15 @@ def _concat_feasible(value: str, inputs: Sequence[Table]) -> bool:
             fields = [row[i] for i in str_idx]
             pos = 0
             while pos < len(value):
-                best = 0
-                for length in range(len(value) - pos, 0, -1):
-                    piece = value[pos:pos + length]
-                    if any(piece in f for f in fields):
-                        best = length
-                        break
-                if best == 0:
+                # Every prefix of a field's substring is one too, so the
+                # longest covered piece ends just before the first miss.
+                end = pos
+                while end < len(value) and any(value[pos:end + 1] in f
+                                               for f in fields):
+                    end += 1
+                if end == pos:
                     break
-                pos += best
+                pos = end
             if pos == len(value):
                 return True
     return False
@@ -711,12 +711,11 @@ class _Engine:
         transform = tuple(e.stmt for e in
                           sorted(needed.values(), key=lambda e: e.order))
         program = Program(transform, tuple(mapping))
-        violations = validate_program(
-            program, [t.schema for t in self.task.inputs],
-            [t.name for t in self.task.inputs], self.task.action)
-        if violations:
-            raise EngineInternalError(f"assembled program invalid: {violations}")
-        got = exec_program(program, self.task.inputs, self.task.action)
+        try:
+            got = exec_program(program, self.task.inputs, self.task.action)
+        except ValidationFailure as exc:
+            raise EngineInternalError(
+                f"assembled program invalid: {exc.violations}") from exc
         if got != self.task.output:
             raise EngineInternalError("assembled program does not reproduce "
                                       "the output example")

@@ -3,6 +3,7 @@ randomized solver-recovery checks."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from tablesynth.errors import FeatureMissError, SchemaError
 from tablesynth.features import (
+    BASE_TOKEN_CLASSES,
     ConcatProgram,
     ExtractSegment,
     ExtractSpec,
@@ -79,8 +81,11 @@ def test_extract_maximal_runs():
     assert extract(ExtractSpec((ALNUM,), 2), "tiktok.jpg") == "jpg"
     assert extract(ExtractSpec((ALNUM,), -1), "tiktok.jpg") == "jpg"
     assert extract(ExtractSpec((DIGITS,), 1), "a12b345") == "12"
+    assert extract(ExtractSpec((DIGITS,), -2), "a12b345") == "12"
     with pytest.raises(FeatureMissError):
         extract(ExtractSpec((DIGITS,), 3), "a12b345")
+    with pytest.raises(FeatureMissError):
+        extract(ExtractSpec((DIGITS,), -3), "a12b345")
 
 
 def test_concat_program_run():
@@ -171,6 +176,66 @@ def test_solve_concat_prefers_extracts_over_literals():
 def test_solve_concat_infeasible():
     # Beyond max_segments * max_literal_len with nothing to extract.
     assert solve_concat([(("abc",), "xyz" * 50)]) is None
+
+
+def _string_problems(seed: int, n: int) -> list:
+    """Problems as lists of ``(inputs, output)`` rows, most outputs drawn from
+    a random extract/literal program: even problems have one input per row
+    and a single extraction, odd ones one or two inputs and up to three
+    segments."""
+    rng = random.Random(seed)
+    classes = list(BASE_TOKEN_CLASSES) + [TokenClass("Punct", c) for c in ".-_"]
+
+    def text():
+        return "".join(rng.choice("abcXY0129 .-_") for _ in range(rng.randint(4, 12)))
+
+    def spec():
+        tokens = tuple(rng.choice(classes) for _ in range(rng.randint(1, 2)))
+        return ExtractSpec(tokens, rng.choice((1, 2, 3, -1, -2, -3)))
+
+    def value(segs, ins):
+        try:
+            return "".join(s if isinstance(s, str) else extract(s[1], ins[s[0]])
+                           for s in segs)
+        except FeatureMissError:
+            return None
+
+    problems = []
+    for i in range(n):
+        width = 1 if i % 2 == 0 else rng.randint(1, 2)
+        segs = [(rng.randrange(width), spec())]
+        if i % 2:
+            segs += [rng.choice("-_.") if rng.random() < 0.4
+                     else (rng.randrange(width), spec())
+                     for _ in range(rng.randint(0, 2))]
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            for _ in range(20):
+                ins = tuple(text() for _ in range(width))
+                out = value(segs, ins)
+                if out is not None:
+                    break
+            else:  # an unrelated slice: a row the program cannot explain
+                i0 = rng.randrange(len(ins[0]))
+                out = ins[0][i0:rng.randint(i0 + 1, len(ins[0]))]
+            rows.append((ins, out))
+        problems.append(rows)
+    return problems
+
+
+def test_string_solver_results_pinned():
+    # Tie-breaking is part of the solvers' contract: this digest of every
+    # returned instance (hits and misses) must not move under a refactor.
+    found = []
+    for i, rows in enumerate(_string_problems(11, 100)):
+        if i % 2 == 0:
+            f = solve_substring([(ins[0], y) for ins, y in rows])
+        else:
+            f = solve_concat(rows)
+        found.append(format_feature(f) if f else "-")
+    assert sum(f != "-" for f in found) == 59
+    digest = hashlib.sha256("\n".join(found).encode()).hexdigest()[:16]
+    assert digest == "d3efcf46b87d4ddb"
 
 
 # -- randomized recovery -----------------------------------------------------

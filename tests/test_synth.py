@@ -271,5 +271,5 @@ def test_tracer_hooks_reach_the_engine(monkeypatch):
         tracer.uninstall()
     assert result.status == "solved"
     for counter in ("synth.exec_transform.calls", "synth.forward.kept",
-                    "synth.solve.calls"):
+                    "synth.solve.calls", "features.solve_concat.calls"):
         assert tracer.count[counter] > 0, counter
