@@ -8,6 +8,7 @@ the final action table.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -18,20 +19,22 @@ from .table import ColumnType, Schema, Table, Value, check_int, type_of
 # ---------------------------------------------------------------------------
 # Predicates.
 
-#: symbol -> (argument kinds, operand type). Kinds: "cc" column/column,
-#: "ck" column/constant, "c" single column.
+#: symbol -> (argument kinds, operand type, test). Kinds: "cc" column/column,
+#: "ck" column/constant, "c" single column. The test takes the column value,
+#: then the second argument's value for two-argument kinds.
 PREDICATE_SYMBOLS = {
-    "IntEq": ("cc ck", ColumnType.INT),
-    "IntLt": ("cc ck", ColumnType.INT),
-    "IntLeq": ("cc ck", ColumnType.INT),
-    "IntGt": ("cc ck", ColumnType.INT),
-    "IntGeq": ("cc ck", ColumnType.INT),
-    "StrEq": ("cc ck", ColumnType.STR),
-    "IsSubstring": ("cc ck", ColumnType.STR),
-    "StartsWith": ("cc ck", ColumnType.STR),
-    "EndsWith": ("cc ck", ColumnType.STR),
-    "IsOdd": ("c", ColumnType.INT),
-    "IsEven": ("c", ColumnType.INT),
+    "IntEq": ("cc ck", ColumnType.INT, operator.eq),
+    "IntLt": ("cc ck", ColumnType.INT, operator.lt),
+    "IntLeq": ("cc ck", ColumnType.INT, operator.le),
+    "IntGt": ("cc ck", ColumnType.INT, operator.gt),
+    "IntGeq": ("cc ck", ColumnType.INT, operator.ge),
+    "StrEq": ("cc ck", ColumnType.STR, operator.eq),
+    "IsSubstring": ("cc ck", ColumnType.STR, operator.contains),
+    "StartsWith": ("cc ck", ColumnType.STR, str.startswith),
+    "EndsWith": ("cc ck", ColumnType.STR, str.endswith),
+    # Mathematical parity: -3 is odd.
+    "IsOdd": ("c", ColumnType.INT, lambda v: v % 2 == 1),
+    "IsEven": ("c", ColumnType.INT, lambda v: v % 2 == 0),
 }
 
 
@@ -79,32 +82,11 @@ def predicate_size(p: Predicate) -> int:
 
 
 def _leaf_holds(app: SymbolApp, row, schema: Schema) -> bool:
+    kinds, _, test = PREDICATE_SYMBOLS[app.symbol]
     v1 = row[schema.index(app.col)]
-    v2 = row[schema.index(app.arg)] if app.arg_is_col else app.arg
-    s = app.symbol
-    if s == "IntEq":
-        return v1 == v2
-    if s == "IntLt":
-        return v1 < v2
-    if s == "IntLeq":
-        return v1 <= v2
-    if s == "IntGt":
-        return v1 > v2
-    if s == "IntGeq":
-        return v1 >= v2
-    if s == "StrEq":
-        return v1 == v2
-    if s == "IsSubstring":
-        return v2 in v1
-    if s == "StartsWith":
-        return v1.startswith(v2)
-    if s == "EndsWith":
-        return v1.endswith(v2)
-    if s == "IsOdd":
-        return v1 % 2 == 1  # mathematical parity; negatives included
-    if s == "IsEven":
-        return v1 % 2 == 0
-    raise SchemaError(f"unknown predicate symbol {s}")
+    if kinds == "c":
+        return test(v1)
+    return test(v1, row[schema.index(app.arg)] if app.arg_is_col else app.arg)
 
 
 def eval_predicate(p: Predicate, row, schema: Schema) -> bool:
@@ -123,7 +105,7 @@ def _check_predicate(p: Predicate, schema: Schema) -> list[str]:
     """Type-check a predicate; returns problem descriptions."""
     problems: list[str] = []
     if isinstance(p, SymbolApp):
-        kinds, ty = PREDICATE_SYMBOLS[p.symbol]
+        kinds, ty, _ = PREDICATE_SYMBOLS[p.symbol]
         unary = kinds == "c"
         for name in [p.col] + ([p.arg] if p.arg_is_col else []):
             if name not in schema:
@@ -183,7 +165,28 @@ class Order:
 
 TransformStmt = Union[Filter, Join, GroupJoin, Order]
 
-AGGREGATIONS = ("max", "min", "sum", "avg", "cnt")
+
+def _avg(values: Sequence[int]) -> int:
+    s = sum(values)
+    # Integer division truncated toward zero keeps Int closed.
+    q = abs(s) // len(values)
+    return q if s >= 0 else -q
+
+
+#: aggregation -> its value over one group's column values. Only ``cnt``
+#: accepts a column that is not Int.
+AGGREGATIONS = {
+    "max": max,
+    "min": min,
+    "sum": lambda values: check_int(sum(values)),
+    "avg": _avg,
+    "cnt": len,
+}
+
+
+def sources(stmt: TransformStmt) -> list[str]:
+    """The names of the tables ``stmt`` reads."""
+    return [stmt.src1, stmt.src2] if isinstance(stmt, Join) else [stmt.src]
 
 
 @dataclass(frozen=True)
@@ -210,16 +213,6 @@ class Yield:
     src: str
     projections: tuple[Projection, ...]
 
-    @property
-    def action(self) -> str:
-        head = self.projections[0]
-        if isinstance(head, ConstP) and isinstance(head.value, str):
-            return head.value
-        raise SchemaError("first projection is not an action constant")
-
-
-MappingStmt = Yield
-
 
 @dataclass(frozen=True)
 class ActionSignature:
@@ -235,7 +228,7 @@ class ActionSignature:
 @dataclass(frozen=True)
 class Program:
     transform: tuple[TransformStmt, ...]
-    mapping: tuple[MappingStmt, ...]
+    mapping: tuple[Yield, ...]
 
 
 @dataclass
@@ -262,6 +255,9 @@ class ExecState:
 
 
 def exec_filter(t: Table, predicate: Predicate, name: str = "filtered") -> Table:
+    problems = _check_predicate(predicate, t.schema)
+    if problems:
+        raise SchemaError("; ".join(problems))
     rows = [r for r in t.rows if eval_predicate(predicate, r, t.schema)]
     return Table(name, t.schema, rows)
 
@@ -294,24 +290,6 @@ def _fresh_col(base: str, schema_names) -> str:
     while f"{base}_{k}" in schema_names:
         k += 1
     return f"{base}_{k}"
-
-
-def _aggregate(agg: str, values: Sequence[Value]) -> int:
-    if agg == "cnt":
-        return len(values)
-    ints = list(values)
-    if agg == "max":
-        return max(ints)
-    if agg == "min":
-        return min(ints)
-    if agg == "sum":
-        return check_int(sum(ints))
-    if agg == "avg":
-        s = sum(ints)
-        # Integer division truncated toward zero keeps Int closed.
-        q = abs(s) // len(ints)
-        return q if s >= 0 else -q
-    raise SchemaError(f"unknown aggregation {agg!r}")
 
 
 def _with_int_columns(
@@ -347,7 +325,7 @@ def exec_groupjoin(
     columns = []
     for agg, col in aggs:
         ci = t.schema.index(col)
-        vals = [_aggregate(agg, [g[ci] for g in groups[row[gi]]]) for row in t.rows]
+        vals = [AGGREGATIONS[agg]([g[ci] for g in groups[row[gi]]]) for row in t.rows]
         columns.append((f"{agg}_{col}", vals))
     return _with_int_columns(t, columns, name)
 
@@ -397,16 +375,27 @@ def exec_transform(state: ExecState, stmt: TransformStmt) -> Table:
 # Mapping semantics.
 
 
-def _projection_column(p: Projection, t: Table) -> tuple[ColumnType, list[Value]]:
+def _projection_type(p: Projection, schema: Schema) -> ColumnType:
     if isinstance(p, ColP):
-        return t.schema.type_of(p.name), list(t.column(p.name))
+        return schema.type_of(p.name)
     if isinstance(p, ConstP):
-        return type_of(p.value), [p.value] * t.nrows
+        return type_of(p.value)
     if isinstance(p, MutateP):
-        idx = [t.schema.index(c) for c in p.cols]
-        vals = [apply_feature(p.feature, [row[i] for i in idx]) for row in t.rows]
-        return p.feature.out_type, vals
+        for c in p.cols:
+            if schema.type_of(c) is not p.feature.in_type:
+                raise SchemaError(f"mutate input {c!r} is not {p.feature.in_type}")
+        return p.feature.out_type
     raise SchemaError(f"not a projection: {p!r}")
+
+
+def _projection_values(p: Projection, t: Table) -> list[Value]:
+    """The values of a projection that ``_projection_type`` accepted."""
+    if isinstance(p, ColP):
+        return list(t.column(p.name))
+    if isinstance(p, ConstP):
+        return [p.value] * t.nrows
+    idx = [t.schema.index(c) for c in p.cols]
+    return [apply_feature(p.feature, [row[i] for i in idx]) for row in t.rows]
 
 
 def exec_yield(state: ExecState, stmt: Yield, action: ActionSignature) -> Table:
@@ -418,10 +407,10 @@ def exec_yield(state: ExecState, stmt: Yield, action: ActionSignature) -> Table:
         )
     columns = []
     for p, (col_name, col_ty) in zip(stmt.projections, out_schema.columns):
-        ty, vals = _projection_column(p, t)
+        ty = _projection_type(p, t.schema)
         if ty is not col_ty:
             raise SchemaError(f"projection for {col_name!r} has type {ty}, wants {col_ty}")
-        columns.append(vals)
+        columns.append(_projection_values(p, t))
     rows = {tuple(c[i] for c in columns) for i in range(t.nrows)}
     return Table("yielded", out_schema, rows)
 
@@ -462,24 +451,13 @@ class Violation:
     message: str
 
 
-def _sources(stmt: TransformStmt) -> list[str]:
-    return [stmt.src1, stmt.src2] if isinstance(stmt, Join) else [stmt.src]
-
-
 def _transform_schema(stmt: TransformStmt, env: dict[str, Schema]) -> Schema:
     """Schema of a transform statement's result, given defined schemas.
 
-    Runs the statement on empty tables of its sources' schemas, except a
-    Filter, whose predicate an empty table would never evaluate; raises
-    SchemaError on any type problem."""
-    if isinstance(stmt, Filter):
-        schema = env[stmt.src]
-        problems = _check_predicate(stmt.predicate, schema)
-        if problems:
-            raise SchemaError("; ".join(problems))
-        return schema
-    srcs = _sources(stmt)
-    probe = ExecState({src: Table(src, env[src], []) for src in srcs})
+    Runs the statement on empty tables of its sources' schemas; every
+    operator type-checks its arguments before it reads a row, so this
+    raises SchemaError on any type problem."""
+    probe = ExecState({src: Table(src, env[src], []) for src in sources(stmt)})
     return exec_transform(probe, stmt).schema
 
 
@@ -495,7 +473,7 @@ def validate_program(
     violations: list[Violation] = []
     env: dict[str, Schema] = dict(zip(input_names, input_schemas))
     for i, stmt in enumerate(program.transform):
-        srcs = _sources(stmt)
+        srcs = sources(stmt)
         missing = [s for s in srcs if s not in env]
         if missing:
             violations.append(
@@ -558,16 +536,3 @@ def validate_program(
                                                f"{ty}, wants {col_ty}")
                 )
     return violations
-
-
-def _projection_type(p: Projection, schema: Schema) -> ColumnType:
-    if isinstance(p, ColP):
-        return schema.type_of(p.name)
-    if isinstance(p, ConstP):
-        return type_of(p.value)
-    if isinstance(p, MutateP):
-        for c in p.cols:
-            if schema.type_of(c) is not p.feature.in_type:
-                raise SchemaError(f"mutate input {c!r} is not {p.feature.in_type}")
-        return p.feature.out_type
-    raise SchemaError(f"not a projection: {p!r}")

@@ -62,6 +62,11 @@ from .table import Id, Value
 _SYMBOL_TEXT = {sym: sym[0].lower() + sym[1:] for sym in PREDICATE_SYMBOLS}
 _TEXT_SYMBOL = {v: k for k, v in _SYMBOL_TEXT.items()}
 _TOKEN_CLASS_NAMES = frozenset(c.kind for c in BASE_TOKEN_CLASSES)
+#: Feature families print by their enum value: ``linear``, ``concat``, ...
+_FAMILIES = {fam.value: fam for fam in FeatureFamily}
+#: Families whose parameters print as integers, with their constructors.
+_INT_PARAM_MAKERS = {FeatureFamily.LINEAR: linear, FeatureFamily.DIV: div,
+                     FeatureFamily.MOD: mod, FeatureFamily.SUM: sum_feature}
 
 
 def _quote(s: str) -> str:
@@ -89,8 +94,7 @@ def _format_const(v: Value) -> str:
 
 def format_feature(f: FeatureInstance) -> str:
     fam = f.family
-    if fam in (FeatureFamily.LINEAR, FeatureFamily.DIV, FeatureFamily.MOD,
-               FeatureFamily.SUM):
+    if fam in _INT_PARAM_MAKERS:
         return f"{fam.value}({','.join(str(p) for p in f.params)})"
     if fam is FeatureFamily.SUBSTRING:
         return f"substring{f.extract_spec}"
@@ -246,20 +250,20 @@ class _Parser:
     # -- features ------------------------------------------------------------
 
     def feature(self, head: str) -> FeatureInstance:
-        if head in ("linear", "div", "mod", "sum"):
+        fam = _FAMILIES.get(head)
+        if fam in _INT_PARAM_MAKERS:
             self.take(value="(")
             params = [int(self.take("int"))]
             while self.eat(","):
                 params.append(int(self.take("int")))
             self.take(value=")")
-            makers = {"linear": linear, "div": div, "mod": mod, "sum": sum_feature}
             try:
-                return makers[head](*params)
+                return _INT_PARAM_MAKERS[fam](*params)
             except TypeError:
                 raise ProgramParseError(f"wrong parameter count for {head}") from None
-        if head == "substring":
+        if fam is FeatureFamily.SUBSTRING:
             return substring(self.extract_spec())
-        if head == "concat":
+        if fam is FeatureFamily.CONCAT:
             self.take(value="[")
             segments = []
             while not self.at("]"):
@@ -315,8 +319,7 @@ class _Parser:
             return ConstP(self.constant())
         name = self.take("name")
         nxt = self.peek()[1]
-        if name in ("linear", "div", "mod", "sum", "substring", "concat") and \
-                nxt in ("(", "{", "["):
+        if name in _FAMILIES and nxt in ("(", "{", "["):
             f = self.feature(name)
             self.take(value="(")
             cols = [self.take("name")]

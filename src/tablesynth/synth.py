@@ -22,6 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from .dsl import (
+    AGGREGATIONS,
+    PREDICATE_SYMBOLS,
     ActionSignature,
     And,
     ColP,
@@ -43,6 +45,7 @@ from .dsl import (
     exec_transform,
     exec_yield,
     ExecState,
+    sources,
 )
 from .errors import (EngineInternalError, SchemaError, TableSynthError,
                      ValidationFailure)
@@ -56,7 +59,7 @@ from .features import (
     solve_substring,
     solve_sum,
 )
-from .table import ColumnType, Schema, Table, Value, row_key
+from .table import ColumnType, Schema, Table, Value, row_key, type_of
 
 # ---------------------------------------------------------------------------
 # Configuration and result types.
@@ -107,6 +110,8 @@ class SynthTask:
             if row[a] != self.action.name:
                 raise SchemaError(f"output row names action {row[a]!r}, "
                                   f"expected {self.action.name!r}")
+        for const in self.constants:
+            type_of(const)  # a constant must be a table value, not a bool
 
 
 @dataclass(frozen=True)
@@ -335,37 +340,37 @@ class _SubsetSource:
 # ---------------------------------------------------------------------------
 # Forward expansion.
 
-_INT_CONST_SYMBOLS = ("IntEq", "IntLt", "IntLeq", "IntGt", "IntGeq")
-_STR_CONST_SYMBOLS = ("StrEq", "IsSubstring", "StartsWith", "EndsWith")
 #: symbols without a complementary symbol in the set get an explicit Not atom.
 _NEGATABLE = ("IntEq", "StrEq", "IsSubstring", "StartsWith", "EndsWith")
+#: symbols whose column/column form is tried in one argument order only.
+_SYMMETRIC = ("IntEq", "StrEq")
+#: Aggregates over an Int column; ``cnt`` is tried once per grouping column.
+_INT_AGGREGATES = tuple(agg for agg in AGGREGATIONS if agg != "cnt")
+
+
+def _symbols(kind: str, ty: ColumnType) -> list[str]:
+    """The predicate symbols with argument kind ``kind`` over ``ty``, in
+    ``PREDICATE_SYMBOLS`` order."""
+    return [sym for sym, (kinds, sym_ty, _) in PREDICATE_SYMBOLS.items()
+            if kind in kinds.split() and sym_ty is ty]
 
 
 def _atoms(schema: Schema, constants: Sequence[Value]) -> list[Predicate]:
     atoms: list[Predicate] = []
-    int_cols = [n for n, ty in schema.columns if ty is ColumnType.INT]
-    str_cols = [n for n, ty in schema.columns if ty is ColumnType.STR]
-    for col in int_cols:
-        atoms.append(SymbolApp("IsOdd", col))
-        atoms.append(SymbolApp("IsEven", col))
-    for cols, symbols, eq in ((int_cols, _INT_CONST_SYMBOLS, "IntEq"),
-                              (str_cols, _STR_CONST_SYMBOLS, "StrEq")):
-        for a, b in itertools.combinations(cols, 2):
-            atoms.append(SymbolApp(eq, a, b, arg_is_col=True))
-            for sym in symbols:
-                if sym == eq:
-                    continue
+    cols = {ty: [n for n, cty in schema.columns if cty is ty] for ty in ColumnType}
+    for ty, names in cols.items():
+        for col in names:
+            atoms += [SymbolApp(sym, col) for sym in _symbols("c", ty)]
+    for ty, names in cols.items():
+        for a, b in itertools.combinations(names, 2):
+            for sym in _symbols("cc", ty):
                 atoms.append(SymbolApp(sym, a, b, arg_is_col=True))
-                atoms.append(SymbolApp(sym, b, a, arg_is_col=True))
+                if sym not in _SYMMETRIC:
+                    atoms.append(SymbolApp(sym, b, a, arg_is_col=True))
     for const in constants:
-        if isinstance(const, int) and not isinstance(const, bool):
-            for col in int_cols:
-                for sym in _INT_CONST_SYMBOLS:
-                    atoms.append(SymbolApp(sym, col, const))
-        elif isinstance(const, str):
-            for col in str_cols:
-                for sym in _STR_CONST_SYMBOLS:
-                    atoms.append(SymbolApp(sym, col, const))
+        ty = type_of(const)
+        for col in cols[ty]:
+            atoms += [SymbolApp(sym, col, const) for sym in _symbols("ck", ty)]
     atoms += [Not(a) for a in atoms
               if isinstance(a, SymbolApp) and a.symbol in _NEGATABLE]
     return atoms
@@ -466,8 +471,7 @@ class _Engine:
             int_cols = [n for n, ty in schema.columns if ty is ColumnType.INT]
             for col_index in schema.names:
                 singles = [("cnt", col_index)]
-                singles += [(agg, c) for c in int_cols
-                            for agg in ("max", "min", "sum", "avg")]
+                singles += [(agg, c) for c in int_cols for agg in _INT_AGGREGATES]
                 pools = [aggs for n in range(1, GROUPJOIN_MAX_AGGS + 1)
                          for aggs in itertools.combinations(singles, n)]
                 for aggs in pools:
@@ -490,18 +494,16 @@ class _Engine:
         if key in self.solver_cache:
             return self.solver_cache[key]
         self.deadline.check()
-        if family is FeatureFamily.LINEAR:
-            result = solve_linear(data)
-        elif family is FeatureFamily.DIV:
-            result = solve_div(data)
-        elif family is FeatureFamily.MOD:
-            result = solve_mod(data)
-        elif family is FeatureFamily.SUM:
-            result = solve_sum(data)
-        elif family is FeatureFamily.SUBSTRING:
-            result = solve_substring(data)
-        else:
-            result = solve_concat(data)
+        # Built per call, so a solver replaced on this module is the one run.
+        solvers = {
+            FeatureFamily.LINEAR: solve_linear,
+            FeatureFamily.DIV: solve_div,
+            FeatureFamily.MOD: solve_mod,
+            FeatureFamily.SUM: solve_sum,
+            FeatureFamily.SUBSTRING: solve_substring,
+            FeatureFamily.CONCAT: solve_concat,
+        }
+        result = solvers[family](data)
         self.solver_cache[key] = result
         return result
 
@@ -699,11 +701,8 @@ class _Engine:
             entry = self.seen_tables[self.state[name]]
             if entry.stmt is None or name in needed:
                 return
-            stmt = entry.stmt
-            srcs = ([stmt.src1, stmt.src2] if isinstance(stmt, Join)
-                    else [stmt.src])
-            for s in srcs:
-                visit(s)
+            for src in sources(entry.stmt):
+                visit(src)
             needed[name] = entry
 
         for stmt in mapping:

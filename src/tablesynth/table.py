@@ -175,23 +175,6 @@ class Table:
     def renamed(self, name: str) -> "Table":
         return Table(name, self.schema, self.rows)
 
-    def pretty(self) -> str:
-        header = [f"{n}:{t}" for n, t in self.schema.columns]
-        body = [[_show(v) for v in row] for row in self.rows]
-        widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h)
-                  for i, h in enumerate(header)]
-        lines = [" | ".join(h.ljust(w) for h, w in zip(header, widths))]
-        lines.append("-+-".join("-" * w for w in widths))
-        for r in body:
-            lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths)))
-        return "\n".join(lines)
-
-
-def _show(value: Value) -> str:
-    if isinstance(value, Id):
-        return value.label
-    return repr(value) if isinstance(value, str) else str(value)
-
 
 # ---------------------------------------------------------------------------
 # The four primitive table operations.

@@ -146,6 +146,7 @@ def test_criterion_3_forward_only_small(k):
     assert result.status == "solved", k
 
 
+@pytest.mark.slow
 def test_criterion_3_forward_only_times_out_at_20():
     task = ablation_family(20, SynthSettings(timeout=120.0))
     result = synthesize_forward_only(task)
@@ -154,6 +155,7 @@ def test_criterion_3_forward_only_times_out_at_20():
 
 # -- criterion 4: soundness on random tasks ----------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_soundness_200_random_tasks():
     rng = random.Random(404)
     # A short budget keeps the run practical; soundness must hold for

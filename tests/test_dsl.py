@@ -6,10 +6,13 @@ from __future__ import annotations
 import pytest
 
 from tablesynth.dsl import (
+    AGGREGATIONS,
+    PREDICATE_SYMBOLS,
     ActionSignature,
     And,
     ColP,
     ConstP,
+    ExecState,
     Filter,
     GroupJoin,
     Join,
@@ -26,11 +29,12 @@ from tablesynth.dsl import (
     exec_join,
     exec_order,
     exec_program,
+    exec_yield,
     predicate_size,
     validate_program,
 )
-from tablesynth.errors import SchemaError, ValidationFailure
-from tablesynth.features import linear
+from tablesynth.errors import IntRangeError, SchemaError, ValidationFailure
+from tablesynth.features import ExtractSpec, TokenClass, linear, substring
 from tablesynth.table import ColumnType, Id, Schema, Table
 
 from conftest import FRAME_SCHEMA, SHIFT
@@ -67,6 +71,99 @@ def test_negative_parity_is_mathematical():
     s = Schema([("n", INT)])
     assert eval_predicate(SymbolApp("IsOdd", "n"), (-3,), s)
     assert eval_predicate(SymbolApp("IsEven", "n"), (-4,), s)
+
+
+#: Operands of the two-argument symbols against the column value 5 / "abcd":
+#: below, equal and above 5; a prefix, the value itself, a suffix, an infix
+#: and a longer string of "abcd".
+_OPERANDS = {INT: (5, (4, 5, 6)), STR: ("abcd", ("ab", "abcd", "cd", "bc", "abcde"))}
+#: symbol -> whether it holds for each operand above (two-argument symbols),
+#: or for -3..3 (one-argument symbols).
+_SYMBOL_TRUTH = {
+    "IntEq": (False, True, False),
+    "IntLt": (False, False, True),
+    "IntLeq": (False, True, True),
+    "IntGt": (True, False, False),
+    "IntGeq": (True, True, False),
+    "StrEq": (False, True, False, False, False),
+    "IsSubstring": (True, True, True, True, False),
+    "StartsWith": (True, True, False, False, False),
+    "EndsWith": (False, True, True, False, False),
+    "IsOdd": (True, False, True, False, True, False, True),
+    "IsEven": (False, True, False, True, False, True, False),
+}
+
+
+@pytest.mark.parametrize("symbol", list(PREDICATE_SYMBOLS))
+def test_every_predicate_symbol(symbol):
+    kinds, ty = PREDICATE_SYMBOLS[symbol][:2]
+    truth = _SYMBOL_TRUTH[symbol]
+    if kinds == "c":
+        s = Schema([("a", ty)])
+        # Parity is mathematical on negatives too.
+        got = [eval_predicate(SymbolApp(symbol, "a"), (v,), s) for v in range(-3, 4)]
+        assert tuple(got) == truth
+        return
+    assert kinds.split() == ["cc", "ck"]
+    value, operands = _OPERANDS[ty]
+    s = Schema([("a", ty), ("b", ty)])
+    cc = SymbolApp(symbol, "a", "b", arg_is_col=True)
+    for operand, holds in zip(operands, truth, strict=True):
+        row = (value, operand)
+        assert eval_predicate(cc, row, s) is holds, operand
+        assert eval_predicate(SymbolApp(symbol, "a", operand), row, s) is holds, operand
+        kept = exec_filter(Table("t", s, [row]), cc)
+        assert kept.nrows == int(holds)
+
+
+#: aggregation -> its value on each group of _AGG_GROUPS.
+_AGG_GROUPS = {1: (-3, -4), 2: (10,), 3: (7, 2, 0, 0)}
+_AGG_TRUTH = {
+    "max": {1: -3, 2: 10, 3: 7},
+    "min": {1: -4, 2: 10, 3: 0},
+    "sum": {1: -7, 2: 10, 3: 9},
+    "avg": {1: -3, 2: 10, 3: 2},  # -7/2 truncates toward zero, to -3
+    "cnt": {1: 2, 2: 1, 3: 4},
+}
+
+
+@pytest.mark.parametrize("agg", list(AGGREGATIONS))
+def test_every_aggregation(agg):
+    rows = [(g, k, v) for g, vals in _AGG_GROUPS.items() for k, v in enumerate(vals)]
+    t = Table("t", Schema([("g", INT), ("k", INT), ("v", INT)]), rows)
+    out = exec_groupjoin(t, "g", [(agg, "v")])
+    assert out.schema.names == ("g", "k", "v", f"{agg}_v")
+    assert {row[0]: row[3] for row in out.rows} == _AGG_TRUTH[agg]
+    if agg == "sum":
+        big = Table("t", Schema([("g", INT), ("v", INT)]),
+                    [(1, 2**62), (1, 2**62 + 1)])
+        with pytest.raises(IntRangeError):
+            exec_groupjoin(big, "g", [(agg, "v")])
+
+
+_MIXED = Table("m", Schema([("s", STR), ("n", INT), ("id", ID)]),
+               [("ab", 3, Id("r1"))])
+
+
+@pytest.mark.parametrize("predicate", [
+    SymbolApp("IsOdd", "s"),
+    SymbolApp("IsSubstring", "n", "x"),
+    SymbolApp("IntLt", "s", 3),
+], ids=["IsOdd-on-Str", "IsSubstring-on-Int", "IntLt-on-Str"])
+def test_filter_rejects_mistyped_predicate(predicate):
+    with pytest.raises(SchemaError):
+        exec_filter(_MIXED, predicate)
+
+
+@pytest.mark.parametrize("projection,out_type", [
+    (MutateP(linear(1, 0), ("s",)), INT),
+    (MutateP(substring(ExtractSpec((TokenClass("Digits"),), 1)), ("n",)), STR),
+], ids=["linear-over-Str", "substring-over-Int"])
+def test_yield_rejects_mistyped_feature_input(projection, out_type):
+    sig = ActionSignature("act", (("v", out_type),))
+    stmt = Yield("m", (ConstP("act"), projection))
+    with pytest.raises(SchemaError):
+        exec_yield(ExecState({"m": _MIXED}), stmt, sig)
 
 
 def test_predicate_size_counts_leaves():
@@ -208,6 +305,11 @@ def test_validate_catches_violations(frames_in):
 
     wrong_arity = Program((), (Yield("ti", (ConstP("shift"), ColP("id"))),))
     assert validate_program(wrong_arity, schemas, names, SHIFT)
+
+    mistyped = Program((Filter("u", "ti", SymbolApp("IsOdd", "file")),), ())
+    violations = validate_program(mistyped, schemas, names, SHIFT)
+    assert [(v.rule, v.message) for v in violations if v.rule == "type check"] == [
+        ("type check", "statement 0: column 'file' is not Int for IsOdd")]
 
 
 def test_exec_program_raises_named_violations(frames_in):

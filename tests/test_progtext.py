@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tablesynth.dsl import (
+    PREDICATE_SYMBOLS,
     ColP,
     ConstP,
     Filter,
@@ -23,12 +24,15 @@ from tablesynth.features import (
     ConcatProgram,
     ExtractSegment,
     ExtractSpec,
+    FeatureFamily,
     LiteralSegment,
     TokenClass,
     concat,
+    div,
     linear,
     mod,
     substring,
+    sum_feature,
 )
 from tablesynth.progtext import (
     format_feature,
@@ -38,6 +42,7 @@ from tablesynth.progtext import (
     parse_predicate,
     parse_program,
 )
+from tablesynth.table import ColumnType
 
 RUNNING_TEXT = """t1 = Filter(ti, isOdd(frame));
 t2 = Filter(ti, isEven(frame));
@@ -98,6 +103,52 @@ def test_feature_round_trip():
                   ExtractSegment(1, ExtractSpec((TokenClass("Digits"),), 1)),
               )))):
         assert parse_feature(format_feature(f)) == f
+
+
+#: One constant per operand type, for the column/constant form.
+_CONSTANT = {ColumnType.INT: -4, ColumnType.STR: 'a "q"'}
+
+
+@pytest.mark.parametrize("symbol", list(PREDICATE_SYMBOLS))
+def test_every_symbol_round_trips(symbol):
+    kinds, ty = PREDICATE_SYMBOLS[symbol][:2]
+    forms = {"c": SymbolApp(symbol, "a"),
+             "cc": SymbolApp(symbol, "a", "b", arg_is_col=True),
+             "ck": SymbolApp(symbol, "a", _CONSTANT[ty])}
+    for kind in kinds.split():
+        p = Not(forms[kind])
+        text = format_predicate(p)
+        assert text.startswith(f"not({symbol[0].lower()}{symbol[1:]}(a")
+        assert parse_predicate(text) == p
+
+
+_FAMILY_EXAMPLES = {
+    FeatureFamily.LINEAR: (linear(3, -7), ("n",)),
+    FeatureFamily.DIV: (div(-1, 4), ("n",)),
+    FeatureFamily.MOD: (mod(1, -4, 5), ("n",)),
+    FeatureFamily.SUM: (sum_feature(-2), ("n", "m")),
+    FeatureFamily.SUBSTRING: (substring(ExtractSpec((TokenClass("Digits"),), -2)),
+                              ("s",)),
+    FeatureFamily.CONCAT: (concat(ConcatProgram((
+        ExtractSegment(1, ExtractSpec((TokenClass("Alnum"), TokenClass("Punct", "."),
+                                       TokenClass("Upper")), 1)),
+        LiteralSegment("-"),
+        ExtractSegment(0, ExtractSpec((TokenClass("Digits"),), 3)),
+    ))), ("s", "r")),
+}
+
+
+@pytest.mark.parametrize("family", list(FeatureFamily), ids=lambda f: f.value)
+def test_every_feature_family_round_trips(family):
+    f, cols = _FAMILY_EXAMPLES[family]
+    text = format_feature(f)
+    assert text.startswith(family.value)
+    assert parse_feature(text) == f
+    # And as a Yield projection, where the parser tells features from columns.
+    prog = Program((), (Yield("t", (ConstP("act"), MutateP(f, cols), ColP(family.value))),))
+    text = format_program(prog)
+    assert parse_program(text) == prog
+    assert format_program(parse_program(text)) == text
 
 
 def test_parse_rejects_garbage():

@@ -7,6 +7,7 @@ import pytest
 
 from tablesynth.domains import load_benchmark
 from tablesynth.dsl import ActionSignature, exec_program
+from tablesynth.errors import SchemaError
 from tablesynth.progtext import format_program
 from tablesynth.synth import (
     SynthSettings,
@@ -135,6 +136,23 @@ def test_smaller_source_cannot_cover(frames_in, shift_out, odd_u):
     assert list(eng._surjections(odd_u, shift_out.renamed("h"))) == []
 
 
+def test_blind_surjections_without_identifying_column():
+    # No output column has pairwise distinct values, so the full-table
+    # hypothesis has no anchor and every row map is enumerated.
+    sheet = Table("sheet", Schema([("row", INT), ("col", INT), ("content", STR)]),
+                  [(1, 1, "x"), (1, 2, "x"), (2, 1, "y"), (2, 2, "y")])
+    fill = ActionSignature("fill", (("content", STR), ("row", INT), ("col", INT)))
+    out = Table("out", fill.output_schema(),
+                [("fill", c, r, k) for r, k, c in sheet.rows])
+    eng = _Engine(SynthTask((sheet,), out, fill))
+    maps = list(eng._surjections(sheet, out))
+    assert len(maps) == 24
+    assert all(sorted(r) == [0, 1, 2, 3] for r in maps)
+    result = synthesize(SynthTask((sheet,), out, fill))
+    assert result.status == "solved"
+    assert exec_program(result.program, [sheet], fill) == out
+
+
 # -- end-to-end --------------------------------------------------------------
 
 def test_synthesize_running_example(frames_in, shift_out):
@@ -159,6 +177,12 @@ def test_synthesize_respects_timeout(frames_in, shift_out):
     # NaN compares false with everything, so its deadline would never fire.
     with pytest.raises(Exception):
         SynthSettings(timeout=float("nan"))
+
+
+@pytest.mark.parametrize("const", [True, 1.5, None])
+def test_task_rejects_constant_that_is_not_a_table_value(frames_in, shift_out, const):
+    with pytest.raises(SchemaError):
+        SynthTask((frames_in,), shift_out, SHIFT, (3, const))
 
 
 def test_unsolvable_at_depth_zero(frames_in, shift_out):
