@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .errors import SchemaError, ValidationFailure
-from .features import FeatureInstance, apply_feature, FeatureMissError
+from .features import FAMILIES, FeatureInstance, apply_feature, FeatureMissError
 from .table import ColumnType, Schema, Table, Value, check_int, type_of
 
 # ---------------------------------------------------------------------------
@@ -89,19 +89,34 @@ def _leaf_holds(app: SymbolApp, row, schema: Schema) -> bool:
     return test(v1, row[schema.index(app.arg)] if app.arg_is_col else app.arg)
 
 
-def eval_predicate(p: Predicate, row, schema: Schema) -> bool:
+def _holds(p: Predicate, row, schema: Schema) -> bool:
+    """``p`` on ``row``, for a ``p`` that ``_check_predicate`` accepted."""
     if isinstance(p, SymbolApp):
         return _leaf_holds(p, row, schema)
     if isinstance(p, Not):
-        return not eval_predicate(p.inner, row, schema)
+        return not _holds(p.inner, row, schema)
     if isinstance(p, And):
-        return eval_predicate(p.left, row, schema) and eval_predicate(p.right, row, schema)
+        return _holds(p.left, row, schema) and _holds(p.right, row, schema)
     if isinstance(p, Or):
-        return eval_predicate(p.left, row, schema) or eval_predicate(p.right, row, schema)
+        return _holds(p.left, row, schema) or _holds(p.right, row, schema)
     raise SchemaError(f"not a predicate: {p!r}")
 
 
-def _check_predicate(p: Predicate, schema: Schema) -> list[str]:
+def eval_predicate(p: Predicate, row, schema: Schema) -> bool:
+    """Whether ``row`` of a table of ``schema`` satisfies ``p``; raises
+    SchemaError when ``p`` is mistyped for ``schema``."""
+    _check_predicate(p, schema)
+    return _holds(p, row, schema)
+
+
+def _check_predicate(p: Predicate, schema: Schema):
+    """Raise SchemaError naming every type problem of ``p`` over ``schema``."""
+    problems = _predicate_problems(p, schema)
+    if problems:
+        raise SchemaError("; ".join(problems))
+
+
+def _predicate_problems(p: Predicate, schema: Schema) -> list[str]:
     """Type-check a predicate; returns problem descriptions."""
     problems: list[str] = []
     if isinstance(p, SymbolApp):
@@ -121,8 +136,8 @@ def _check_predicate(p: Predicate, schema: Schema) -> list[str]:
                 problems.append(f"constant {p.arg!r} is not {ty} for {p.symbol}")
         return problems
     if isinstance(p, Not):
-        return _check_predicate(p.inner, schema)
-    return _check_predicate(p.left, schema) + _check_predicate(p.right, schema)
+        return _predicate_problems(p.inner, schema)
+    return _predicate_problems(p.left, schema) + _predicate_problems(p.right, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +270,8 @@ class ExecState:
 
 
 def exec_filter(t: Table, predicate: Predicate, name: str = "filtered") -> Table:
-    problems = _check_predicate(predicate, t.schema)
-    if problems:
-        raise SchemaError("; ".join(problems))
-    rows = [r for r in t.rows if eval_predicate(predicate, r, t.schema)]
+    _check_predicate(predicate, t.schema)
+    rows = [r for r in t.rows if _holds(predicate, r, t.schema)]
     return Table(name, t.schema, rows)
 
 
@@ -381,10 +394,16 @@ def _projection_type(p: Projection, schema: Schema) -> ColumnType:
     if isinstance(p, ConstP):
         return type_of(p.value)
     if isinstance(p, MutateP):
+        f = p.feature
+        fixed = FAMILIES[f.family][1] is not None
+        if len(p.cols) < f.arity or (fixed and len(p.cols) > f.arity):
+            at_least = "" if fixed else "at least "
+            raise SchemaError(f"{f.family.value} takes {at_least}{f.arity} inputs, "
+                              f"got {len(p.cols)}")
         for c in p.cols:
-            if schema.type_of(c) is not p.feature.in_type:
-                raise SchemaError(f"mutate input {c!r} is not {p.feature.in_type}")
-        return p.feature.out_type
+            if schema.type_of(c) is not f.in_type:
+                raise SchemaError(f"mutate input {c!r} is not {f.in_type}")
+        return f.out_type
     raise SchemaError(f"not a projection: {p!r}")
 
 
@@ -398,21 +417,45 @@ def _projection_values(p: Projection, t: Table) -> list[Value]:
     return [apply_feature(p.feature, [row[i] for i in idx]) for row in t.rows]
 
 
-def exec_yield(state: ExecState, stmt: Yield, action: ActionSignature) -> Table:
-    t = state[stmt.src]
+def _yield_problems(stmt: Yield, schema: Schema,
+                    action: ActionSignature) -> list[tuple[str, str]]:
+    """The (rule, message) problems of ``stmt`` over a table of ``schema``:
+    its action constant, its arity and each projection's type. A message
+    continues a sentence whose subject names the Yield."""
+    problems = []
+    head = stmt.projections[0] if stmt.projections else None
+    if not (isinstance(head, ConstP) and isinstance(head.value, str)):
+        problems.append(("action constant", "must start with a constant string"))
+    elif head.value != action.name:
+        problems.append(("action constant", f"names action {head.value!r}, "
+                                            f"expected {action.name!r}"))
     out_schema = action.output_schema()
     if len(stmt.projections) != len(out_schema):
-        raise SchemaError(
-            f"yield arity {len(stmt.projections)} != action arity {len(out_schema)}"
-        )
-    columns = []
-    for p, (col_name, col_ty) in zip(stmt.projections, out_schema.columns):
-        ty = _projection_type(p, t.schema)
+        problems.append(("argument arity", f"has {len(stmt.projections)} projections, "
+                                           f"action wants {len(out_schema)}"))
+        return problems
+    for j, (p, (col_name, col_ty)) in enumerate(
+        zip(stmt.projections, out_schema.columns)
+    ):
+        try:
+            ty = _projection_type(p, schema)
+        except SchemaError as exc:
+            problems.append(("type check", f"arg {j}: {exc}"))
+            continue
         if ty is not col_ty:
-            raise SchemaError(f"projection for {col_name!r} has type {ty}, wants {col_ty}")
-        columns.append(_projection_values(p, t))
+            problems.append(("argument type",
+                             f"arg {j} ({col_name}) has type {ty}, wants {col_ty}"))
+    return problems
+
+
+def exec_yield(state: ExecState, stmt: Yield, action: ActionSignature) -> Table:
+    t = state[stmt.src]
+    problems = _yield_problems(stmt, t.schema, action)
+    if problems:
+        raise SchemaError("; ".join(f"yield {message}" for _, message in problems))
+    columns = [_projection_values(p, t) for p in stmt.projections]
     rows = {tuple(c[i] for c in columns) for i in range(t.nrows)}
-    return Table("yielded", out_schema, rows)
+    return Table("yielded", action.output_schema(), rows)
 
 
 def exec_program(
@@ -498,41 +541,12 @@ def validate_program(
             env[stmt.target] = env[srcs[0]]  # keep going with a best guess
     if not program.mapping:
         violations.append(Violation("nonempty mapping", "program has no Yield"))
-    out_schema = action.output_schema()
     for i, stmt in enumerate(program.mapping):
         if stmt.src not in env:
             violations.append(
                 Violation("defined-before-use", f"yield {i} uses undefined {stmt.src!r}")
             )
             continue
-        schema = env[stmt.src]
-        head = stmt.projections[0] if stmt.projections else None
-        if not (isinstance(head, ConstP) and isinstance(head.value, str)):
-            violations.append(
-                Violation("action constant", f"yield {i} must start with a constant string")
-            )
-        elif head.value != action.name:
-            violations.append(
-                Violation("action constant", f"yield {i} names action {head.value!r}, "
-                                             f"expected {action.name!r}")
-            )
-        if len(stmt.projections) != len(out_schema):
-            violations.append(
-                Violation("argument arity", f"yield {i} has {len(stmt.projections)} "
-                                            f"projections, action wants {len(out_schema)}")
-            )
-            continue
-        for j, (p, (col_name, col_ty)) in enumerate(
-            zip(stmt.projections, out_schema.columns)
-        ):
-            try:
-                ty = _projection_type(p, schema)
-            except SchemaError as exc:
-                violations.append(Violation("type check", f"yield {i} arg {j}: {exc}"))
-                continue
-            if ty is not col_ty:
-                violations.append(
-                    Violation("argument type", f"yield {i} arg {j} ({col_name}) has type "
-                                               f"{ty}, wants {col_ty}")
-                )
+        violations += [Violation(rule, f"yield {i} {message}") for rule, message
+                       in _yield_problems(stmt, env[stmt.src], action)]
     return violations

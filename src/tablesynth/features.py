@@ -1,11 +1,14 @@
 """Higher-order feature families and their parameter solvers.
 
 Six families are supported: linear, div, mod, and sum over integers, and
-substring/concat over strings. Each family has a row-wise application and a
-solver that instantiates the free parameters from (input, expected output)
-pairs. Solvers are deterministic: given the same pairs they return the same
-instance, with documented tie-breaking (smallest dividend, fewest tokens,
-fewest segments).
+substring/concat over strings. ``FAMILIES`` is the one definition of each
+family's value type, input count, row-wise application and constructor;
+the family list of a signature, an instance's types and arity, and the
+text parser's constructors derive from it. Each family also has a solver
+(a ``solve_*`` function) that instantiates the free parameters from
+(input, expected output) pairs. Solvers are deterministic: given the same
+pairs they return the same instance, with documented tie-breaking
+(smallest dividend, fewest tokens, fewest segments).
 
 Integer semantics: div floors toward minus infinity and mod returns a value
 in [0, d), so interpretation and solving agree on negative operands.
@@ -36,20 +39,11 @@ class FeatureFamily(enum.Enum):
 def enumerate_feature_families(
     in_types: Sequence[ColumnType], out_type: ColumnType
 ) -> list[FeatureFamily]:
-    """Families type-compatible with the signature, in canonical order."""
+    """Families type-compatible with the signature, in ``FAMILIES`` order."""
     ins = tuple(in_types)
-    if ColumnType.ID in ins or out_type is ColumnType.ID:
-        return []
-    out: list[FeatureFamily] = []
-    if ins == (ColumnType.INT,) and out_type is ColumnType.INT:
-        out += [FeatureFamily.LINEAR, FeatureFamily.DIV, FeatureFamily.MOD]
-    if ins == (ColumnType.INT, ColumnType.INT) and out_type is ColumnType.INT:
-        out.append(FeatureFamily.SUM)
-    if all(t is ColumnType.STR for t in ins) and out_type is ColumnType.STR and ins:
-        if ins == (ColumnType.STR,):
-            out.append(FeatureFamily.SUBSTRING)
-        out.append(FeatureFamily.CONCAT)
-    return out
+    return [fam for fam, (ty, count, _, _) in FAMILIES.items()
+            if ins and out_type is ty and all(t is ty for t in ins)
+            and count in (None, len(ins))]
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +184,17 @@ class FeatureInstance:
 
     @property
     def arity(self) -> int:
-        if self.family is FeatureFamily.SUM:
-            return 2
-        if self.family is FeatureFamily.CONCAT:
-            top = max(
-                (s.input_pos for s in self.concat.segments
-                 if isinstance(s, ExtractSegment)),
-                default=0,
-            )
-            return top + 1
-        return 1
+        """The family's input count; for concat, the highest segment
+        position + 1."""
+        count = FAMILIES[self.family][1]
+        if count is not None:
+            return count
+        return 1 + max((s.input_pos for s in self.concat.segments
+                        if isinstance(s, ExtractSegment)), default=0)
 
     @property
     def in_type(self) -> ColumnType:
-        if self.family in (FeatureFamily.SUBSTRING, FeatureFamily.CONCAT):
-            return ColumnType.STR
-        return ColumnType.INT
+        return FAMILIES[self.family][0]
 
     @property
     def out_type(self) -> ColumnType:
@@ -242,31 +231,38 @@ def concat(program: ConcatProgram) -> FeatureInstance:
     return FeatureInstance(FeatureFamily.CONCAT, concat=program)
 
 
+#: family -> (value type, input count or None for any count, row function,
+#: constructor). Inputs and output share the value type. The row function
+#: takes the instance, then one row's input values.
+FAMILIES = {
+    FeatureFamily.LINEAR: (
+        ColumnType.INT, 1,
+        lambda f, x: check_int(f.params[0] * x + f.params[1]), linear),
+    FeatureFamily.DIV: (
+        ColumnType.INT, 1,
+        lambda f, x: check_int((x + f.params[0]) // f.params[1]), div),
+    FeatureFamily.MOD: (
+        ColumnType.INT, 1,
+        lambda f, x: check_int((x + f.params[0]) % f.params[2] + f.params[1]), mod),
+    FeatureFamily.SUM: (
+        ColumnType.INT, 2,
+        lambda f, x, y: check_int(x + y + f.params[0]), sum_feature),
+    FeatureFamily.SUBSTRING: (
+        ColumnType.STR, 1,
+        lambda f, x: extract(f.extract_spec, x), substring),
+    FeatureFamily.CONCAT: (
+        ColumnType.STR, None,
+        lambda f, *xs: f.concat.run(xs), concat),
+}
+
+
 def apply_feature(f: FeatureInstance, args: Sequence[Value]) -> Value:
-    """Row-wise application; raises FeatureMissError on extraction misses."""
-    fam = f.family
-    if fam is FeatureFamily.LINEAR:
-        (a, b) = f.params
-        (x,) = args
-        return check_int(a * x + b)
-    if fam is FeatureFamily.DIV:
-        (b, d) = f.params
-        (x,) = args
-        return check_int((x + b) // d)
-    if fam is FeatureFamily.MOD:
-        (b1, b2, d) = f.params
-        (x,) = args
-        return check_int((x + b1) % d + b2)
-    if fam is FeatureFamily.SUM:
-        (b,) = f.params
-        x, y = args
-        return check_int(x + y + b)
-    if fam is FeatureFamily.SUBSTRING:
-        (x,) = args
-        return extract(f.extract_spec, x)
-    if fam is FeatureFamily.CONCAT:
-        return f.concat.run(args)
-    raise SchemaError(f"unknown family {fam}")
+    """Row-wise application; raises SchemaError on a wrong input count and
+    FeatureMissError on extraction misses."""
+    _, count, row, _ = FAMILIES[f.family]
+    if count is not None and len(args) != count:
+        raise SchemaError(f"{f.family.value} takes {count} inputs, got {len(args)}")
+    return row(f, *args)
 
 
 # ---------------------------------------------------------------------------

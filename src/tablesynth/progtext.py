@@ -42,18 +42,15 @@ from .features import (
     ConcatProgram,
     ExtractSegment,
     ExtractSpec,
+    FAMILIES,
     FeatureFamily,
     FeatureInstance,
     LiteralSegment,
     TokenClass,
     concat,
-    div,
-    linear,
-    mod,
     substring,
-    sum_feature,
 )
-from .table import Id, Value
+from .table import ColumnType, Id, Value
 
 # ---------------------------------------------------------------------------
 # Printing.
@@ -63,10 +60,10 @@ _SYMBOL_TEXT = {sym: sym[0].lower() + sym[1:] for sym in PREDICATE_SYMBOLS}
 _TEXT_SYMBOL = {v: k for k, v in _SYMBOL_TEXT.items()}
 _TOKEN_CLASS_NAMES = frozenset(c.kind for c in BASE_TOKEN_CLASSES)
 #: Feature families print by their enum value: ``linear``, ``concat``, ...
-_FAMILIES = {fam.value: fam for fam in FeatureFamily}
-#: Families whose parameters print as integers, with their constructors.
-_INT_PARAM_MAKERS = {FeatureFamily.LINEAR: linear, FeatureFamily.DIV: div,
-                     FeatureFamily.MOD: mod, FeatureFamily.SUM: sum_feature}
+_FAMILY_NAMES = {fam.value: fam for fam in FeatureFamily}
+#: Int families, whose parameters print as integers, with their constructors.
+_INT_PARAM_MAKERS = {fam: make for fam, (ty, _, _, make) in FAMILIES.items()
+                     if ty is ColumnType.INT}
 
 
 def _quote(s: str) -> str:
@@ -250,7 +247,7 @@ class _Parser:
     # -- features ------------------------------------------------------------
 
     def feature(self, head: str) -> FeatureInstance:
-        fam = _FAMILIES.get(head)
+        fam = _FAMILY_NAMES.get(head)
         if fam in _INT_PARAM_MAKERS:
             self.take(value="(")
             params = [int(self.take("int"))]
@@ -319,7 +316,7 @@ class _Parser:
             return ConstP(self.constant())
         name = self.take("name")
         nxt = self.peek()[1]
-        if name in _FAMILIES and nxt in ("(", "{", "["):
+        if name in _FAMILY_NAMES and nxt in ("(", "{", "["):
             f = self.feature(name)
             self.take(value="(")
             cols = [self.take("name")]

@@ -543,21 +543,25 @@ class _Engine:
                             seen.add(rt)
                             yield rt
             return
+        yield from self._enumerate_surjections(t, h)
+
+    def _enumerate_surjections(self, t, h):
+        nh = h.nrows
+        # A non-Id column of h comes from a constant, or from a column of t
+        # of its type through a projection or a feature, whatever the row
+        # pair; only an Id column constrains which t row maps to which h row.
+        t_types = {ty for _, ty in t.schema.columns}
         t_id = [i for i, (_, ty) in enumerate(t.schema.columns)
                 if ty is ColumnType.ID]
-        h_id = [j for j, (_, ty) in enumerate(h.schema.columns)
-                if ty is ColumnType.ID]
-        yield from self._enumerate_surjections(t, h, t_id, h_id)
-
-    def _enumerate_surjections(self, t, h, t_id, h_id):
-        nh = h.nrows
-        compat = []
-        for trow in t.rows:
-            ok_rows = []
-            for i, hrow in enumerate(h.rows):
-                if self._pair_compatible(t, trow, h, hrow, t_id):
-                    ok_rows.append(i)
-            compat.append(ok_rows)
+        h_id = []
+        for j, (_, ty) in enumerate(h.schema.columns):
+            if ty is ColumnType.ID:
+                h_id.append(j)
+            elif ty not in t_types and len({r[j] for r in h.rows}) > 1:
+                return
+        compat = [[i for i, hrow in enumerate(h.rows)
+                   if all(any(trow[c] == hrow[j] for c in t_id) for j in h_id)]
+                  for trow in t.rows]
         budget = [SURJECTION_NODE_CAP]
 
         def rec(k, assignment, covered):
@@ -582,31 +586,6 @@ class _Engine:
                 assignment.pop()
 
         yield from rec(0, [], set())
-
-    def _pair_compatible(self, t, trow, h, hrow, t_id) -> bool:
-        for j, (_, ty) in enumerate(h.schema.columns):
-            want = hrow[j]
-            if ty is ColumnType.ID:
-                if not any(trow[i] == want for i in t_id):
-                    return False
-                continue
-            cols = [i for i, (_, tty) in enumerate(t.schema.columns) if tty is ty]
-            if any(trow[i] == want for i in cols):
-                continue
-            hcol = {r[j] for r in h.rows}
-            if len(hcol) == 1:
-                continue  # constant projection remains possible
-            # A symbolic column could still produce the value.
-            if ty is ColumnType.INT and any(
-                tty is ColumnType.INT for _, tty in t.schema.columns
-            ):
-                continue
-            if ty is ColumnType.STR and any(
-                tty is ColumnType.STR for _, tty in t.schema.columns
-            ):
-                continue
-            return False
-        return True
 
     def _solve_columns(self, t: Table, h: Table,
                        r: tuple[int, ...]) -> Optional[tuple[Projection, ...]]:

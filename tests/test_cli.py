@@ -140,6 +140,31 @@ def test_exec_bad_file_exits_1_without_traceback(tmp_path, program, tables):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("program", [
+    'Yield("act", t, linear(1,0)(a, b), s);',
+    'Yield("act", t, sum(0)(a), s);',
+    'Yield("act", t, a, concat[x1{Lower#1}](s));',
+], ids=["linear-of-two-inputs", "sum-of-one-input", "concat-reads-missing-input"])
+def test_exec_wrong_feature_input_count_is_invalid(tmp_path, program):
+    prog_path, tables_path = tmp_path / "bad.prog", tmp_path / "tables.json"
+    prog_path.write_text(program)
+    tables_path.write_text(json.dumps({
+        "action": {"name": "act", "args": [{"name": "v", "type": "Int"},
+                                           {"name": "w", "type": "Str"}]},
+        "tables": [{"name": "t",
+                    "columns": [{"name": "a", "type": "Int"},
+                                {"name": "b", "type": "Int"},
+                                {"name": "s", "type": "Str"}],
+                    "rows": [[1, 2, "ab"]]}]}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tablesynth.cli", "exec", str(prog_path),
+         str(tables_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("invalid program [type check]: yield 0 arg ")
+
+
 def test_bench_report_matches_schema(capsys, tmp_path):
     # A one-case directory keeps this test fast.
     sub = tmp_path / "xml"

@@ -34,7 +34,8 @@ from tablesynth.dsl import (
     validate_program,
 )
 from tablesynth.errors import IntRangeError, SchemaError, ValidationFailure
-from tablesynth.features import ExtractSpec, TokenClass, linear, substring
+from tablesynth.features import ExtractSpec, TokenClass, linear, substring, sum_feature
+from tablesynth.progtext import parse_feature
 from tablesynth.table import ColumnType, Id, Schema, Table
 
 from conftest import FRAME_SCHEMA, SHIFT
@@ -153,17 +154,33 @@ _MIXED = Table("m", Schema([("s", STR), ("n", INT), ("id", ID)]),
 def test_filter_rejects_mistyped_predicate(predicate):
     with pytest.raises(SchemaError):
         exec_filter(_MIXED, predicate)
+    with pytest.raises(SchemaError):
+        eval_predicate(predicate, _MIXED.rows[0], _MIXED.schema)
 
 
 @pytest.mark.parametrize("projection,out_type", [
     (MutateP(linear(1, 0), ("s",)), INT),
     (MutateP(substring(ExtractSpec((TokenClass("Digits"),), 1)), ("n",)), STR),
-], ids=["linear-over-Str", "substring-over-Int"])
+    (MutateP(linear(1, 0), ("n", "n")), INT),
+    (MutateP(sum_feature(0), ("n",)), INT),
+    (MutateP(parse_feature("concat[x1{Lower#1}]"), ("s",)), STR),
+], ids=["linear-over-Str", "substring-over-Int", "linear-of-two", "sum-of-one",
+        "concat-reads-missing-input"])
 def test_yield_rejects_mistyped_feature_input(projection, out_type):
     sig = ActionSignature("act", (("v", out_type),))
     stmt = Yield("m", (ConstP("act"), projection))
     with pytest.raises(SchemaError):
         exec_yield(ExecState({"m": _MIXED}), stmt, sig)
+    violations = validate_program(Program((), (stmt,)), [_MIXED.schema], ["m"], sig)
+    assert [v.rule for v in violations] == ["type check"]
+    assert violations[0].message.startswith("yield 0 arg 1: ")
+
+
+def test_yield_rejects_another_action(frames_in):
+    stmt = Yield("ti", (ConstP("blur"), ColP("id"), ConstP("GB"), ColP("frame"),
+                        ColP("frame")))
+    with pytest.raises(SchemaError, match="names action 'blur'"):
+        exec_yield(ExecState({"ti": frames_in}), stmt, SHIFT)
 
 
 def test_predicate_size_counts_leaves():

@@ -102,6 +102,13 @@ def test_arity_and_types():
     assert sum_feature(0).arity == 2
     prog = ConcatProgram((ExtractSegment(2, ExtractSpec((ALNUM,), 1)),))
     assert concat(prog).arity == 3
+    assert concat(prog).in_type is concat(prog).out_type is ColumnType.STR
+    assert sum_feature(0).in_type is ColumnType.INT
+    # A fixed-count family rejects any other count, never unpacking blindly.
+    with pytest.raises(SchemaError):
+        apply_feature(linear(1, 0), (1, 2))
+    with pytest.raises(SchemaError):
+        apply_feature(sum_feature(0), (1,))
 
 
 # -- notation ----------------------------------------------------------------
@@ -287,6 +294,9 @@ INT, STR, ID = ColumnType.INT, ColumnType.STR, ColumnType.ID
     ((ID,), STR, []),
     ((STR, ID), STR, []),
     ((INT,), ID, []),
+    ((), STR, []),
+    ((INT,), STR, []),
+    ((INT, INT, INT), INT, []),
 ])
 def test_enumerate_feature_families(ins, out, families):
     # The matcher tries families in exactly this order, so it is pinned.

@@ -148,6 +148,9 @@ def test_blind_surjections_without_identifying_column():
     maps = list(eng._surjections(sheet, out))
     assert len(maps) == 24
     assert all(sorted(r) == [0, 1, 2, 3] for r in maps)
+    # Without an Int column nothing yields the non-constant row/col columns.
+    texts = Table("texts", Schema([("content", STR)]), [(c,) for _, _, c in sheet.rows])
+    assert list(eng._surjections(texts, out)) == []
     result = synthesize(SynthTask((sheet,), out, fill))
     assert result.status == "solved"
     assert exec_program(result.program, [sheet], fill) == out
