@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .errors import SchemaError, ValidationFailure
+from .errors import IntRangeError, SchemaError, ValidationFailure
 from .features import FAMILIES, FeatureInstance, apply_feature, FeatureMissError
 from .table import ColumnType, Schema, Table, Value, check_int, type_of
 
@@ -104,7 +104,8 @@ def _holds(p: Predicate, row, schema: Schema) -> bool:
 
 def eval_predicate(p: Predicate, row, schema: Schema) -> bool:
     """Whether ``row`` of a table of ``schema`` satisfies ``p``; raises
-    SchemaError when ``p`` is mistyped for ``schema``."""
+    SchemaError when ``p`` is mistyped for ``schema``, and IntRangeError
+    when one of its Int constants is out of range."""
     _check_predicate(p, schema)
     return _holds(p, row, schema)
 
@@ -439,7 +440,7 @@ def _yield_problems(stmt: Yield, schema: Schema,
     ):
         try:
             ty = _projection_type(p, schema)
-        except SchemaError as exc:
+        except (SchemaError, IntRangeError) as exc:
             problems.append(("type check", f"arg {j}: {exc}"))
             continue
         if ty is not col_ty:
@@ -528,17 +529,20 @@ def validate_program(
                 Violation("fresh name", f"statement {i} redefines {stmt.target!r}")
             )
             continue
-        if isinstance(stmt, Join):
-            for src, col in ((stmt.src1, stmt.col1), (stmt.src2, stmt.col2)):
-                if col in env[src] and env[src].type_of(col) is not ColumnType.ID:
-                    violations.append(
-                        Violation("Id-typed join", f"statement {i} joins on non-Id {col!r}")
-                    )
-        try:
-            env[stmt.target] = _transform_schema(stmt, env)
-        except SchemaError as exc:
-            violations.append(Violation("type check", f"statement {i}: {exc}"))
-            env[stmt.target] = env[srcs[0]]  # keep going with a best guess
+        joined = (((stmt.src1, stmt.col1), (stmt.src2, stmt.col2))
+                  if isinstance(stmt, Join) else ())
+        non_id = [Violation("Id-typed join", f"statement {i} joins on non-Id {col!r}")
+                  for src, col in joined
+                  if col in env[src] and env[src].type_of(col) is not ColumnType.ID]
+        if non_id:  # the probe would only report them again
+            violations += non_id
+        else:
+            try:
+                env[stmt.target] = _transform_schema(stmt, env)
+                continue
+            except (SchemaError, IntRangeError) as exc:
+                violations.append(Violation("type check", f"statement {i}: {exc}"))
+        env[stmt.target] = env[srcs[0]]  # keep going with a best guess
     if not program.mapping:
         violations.append(Violation("nonempty mapping", "program has no Yield"))
     for i, stmt in enumerate(program.mapping):

@@ -1,11 +1,15 @@
 """Bidirectional synthesis of table programs from one input/output example.
 
 Forward direction: depth-bounded enumeration of transform statements, with
-observational equivalence classing. Backward direction: sub-tables of the
-output example (hypotheses) ranked by a consistency score, each matched
-against forward tables by solving per-column feature parameters. Matched
-hypotheses are combined by exact cover, and the winning cover is assembled
-into a verified program.
+observational equivalence classing. Each depth is one stream of candidate
+statements (``_Engine._candidates``); a candidate whose table is new and
+non-empty is kept, and any other is dropped. A candidate's target is named
+``t<k>`` when it is drawn, where ``k`` counts the tables kept so far (inputs
+included, input names skipped), so tables are named in the order they are
+kept. Backward direction: sub-tables of the output example (hypotheses)
+ranked by a consistency score, each matched against forward tables by
+solving per-column feature parameters. Matched hypotheses are combined by
+exact cover, and the winning cover is assembled into a verified program.
 
 One search loop serves both modes; they differ only in the per-depth source
 of hypotheses. The bidirectional mode uses the ranked, bounded
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from .dsl import (
@@ -119,7 +123,6 @@ class ForwardEntry:
     stmt: Optional[TransformStmt]  # None for input tables
     table: Table
     depth: int
-    order: int  # creation index, used for topological assembly
 
 
 @dataclass(frozen=True)
@@ -138,13 +141,7 @@ class SynthStats:
     mode: str = "bi"
 
     def to_json(self) -> dict:
-        return {
-            "elapsed_ms": self.elapsed_ms,
-            "forward_tables": self.forward_tables,
-            "hypotheses_tried": self.hypotheses_tried,
-            "matches_solved": self.matches_solved,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -406,64 +403,49 @@ class _Engine:
         self.seen_tables: dict[Table, ForwardEntry] = {}
         self.pred_memo: dict = {}
         self.solver_cache: dict = {}
-        self.name_counter = 0
         for t in task.inputs:
             self._add_entry(None, t, 0)
 
     # -- forward search ------------------------------------------------------
 
     def _fresh_name(self) -> str:
-        while True:
-            self.name_counter += 1
-            name = f"t{self.name_counter}"
-            if name not in self.state.tables:
-                return name
+        """``t<k>`` for the least ``k``, from the number of kept entries up,
+        that no defined table uses (only an input can)."""
+        k = len(self.entries)
+        while f"t{k}" in self.state.tables:
+            k += 1
+        return f"t{k}"
 
     def _add_entry(self, stmt, table: Table, depth: int) -> bool:
         if table in self.seen_tables:
             return False
-        entry = ForwardEntry(stmt, table, depth, len(self.entries))
+        entry = ForwardEntry(stmt, table, depth)
         self.entries.append(entry)
         self.state.define(table)
         self.seen_tables[table] = entry
-        self.stats.forward_tables = len(self.entries)
         return True
 
-    def _try_stmt(self, stmt: TransformStmt, depth: int):
-        try:
-            table = exec_transform(self.state, stmt)
-        except TableSynthError:
-            return
-        if table.nrows == 0:
-            return  # empty intermediates can never feed a Yield
-        self._add_entry(stmt, table, depth)
-
-    def expand(self, d: int):
+    def _candidates(self, d: int) -> Iterator[TransformStmt]:
+        """Every depth-``d`` statement over the entries kept before it:
+        Filters per entry, Joins over Id-column pairs, then per entry of depth
+        ``d - 1`` its GroupJoins and Orders. A target is named when its
+        statement is drawn, after the one before it was kept or dropped."""
         existing = list(self.entries)
         constants = sorted(self.task.constants, key=lambda v: (str(type(v)), v))
         for e in existing:
-            self.deadline.check()
             size = d - e.depth
             if size >= 1:
                 for pred in _predicates(e.table.schema, constants, size,
                                         self.pred_memo):
-                    self.deadline.check()
-                    self._try_stmt(Filter(self._fresh_name(), e.table.name, pred),
-                                   d)
-        for e1 in existing:
-            for e2 in existing:
-                if e1 is e2 or max(e1.depth, e2.depth) + 1 != d:
-                    continue
-                id1 = [n for n, ty in e1.table.schema.columns
-                       if ty is ColumnType.ID]
-                id2 = [n for n, ty in e2.table.schema.columns
-                       if ty is ColumnType.ID]
-                for c1 in id1:
-                    for c2 in id2:
-                        self.deadline.check()
-                        self._try_stmt(
-                            Join(self._fresh_name(), e1.table.name,
-                                 e2.table.name, c1, c2), d)
+                    yield Filter(self._fresh_name(), e.table.name, pred)
+        ids = {e.table.name: [n for n, ty in e.table.schema.columns
+                              if ty is ColumnType.ID] for e in existing}
+        for e1, e2 in itertools.permutations(existing, 2):
+            if max(e1.depth, e2.depth) + 1 == d:
+                for c1, c2 in itertools.product(ids[e1.table.name],
+                                                ids[e2.table.name]):
+                    yield Join(self._fresh_name(), e1.table.name,
+                               e2.table.name, c1, c2)
         for e in existing:
             if e.depth != d - 1:
                 continue
@@ -472,20 +454,26 @@ class _Engine:
             for col_index in schema.names:
                 singles = [("cnt", col_index)]
                 singles += [(agg, c) for c in int_cols for agg in _INT_AGGREGATES]
-                pools = [aggs for n in range(1, GROUPJOIN_MAX_AGGS + 1)
-                         for aggs in itertools.combinations(singles, n)]
-                for aggs in pools:
-                    self.deadline.check()
-                    self._try_stmt(
-                        GroupJoin(self._fresh_name(), e.table.name, col_index,
-                                  tuple(aggs)), d)
+                for n in range(1, GROUPJOIN_MAX_AGGS + 1):
+                    for aggs in itertools.combinations(singles, n):
+                        yield GroupJoin(self._fresh_name(), e.table.name,
+                                        col_index, aggs)
             orderable = [n for n, ty in schema.columns if ty is not ColumnType.ID]
             for col in orderable:
                 for col_index in [None] + [n for n in schema.names if n != col]:
-                    self.deadline.check()
-                    self._try_stmt(
-                        Order(self._fresh_name(), e.table.name, col, 0, False,
-                              col_index), d)
+                    yield Order(self._fresh_name(), e.table.name, col, 0, False,
+                                col_index)
+
+    def expand(self, d: int):
+        """Keep each depth-``d`` candidate whose table is new and non-empty."""
+        for stmt in self._candidates(d):
+            self.deadline.check()
+            try:
+                table = exec_transform(self.state, stmt)
+            except TableSynthError:
+                continue
+            if table.nrows:  # empty intermediates can never feed a Yield
+                self._add_entry(stmt, table, d)
 
     # -- matching ------------------------------------------------------------
 
@@ -625,7 +613,7 @@ class _Engine:
     def match_hypothesis(self, h: Hypothesis) -> Optional[Yield]:
         """First forward table (ascending depth) admitting an exact match."""
         h_table = Table("h", self.task.output.schema, h.rows)
-        for entry in self.entries:  # appended in (depth, order) order
+        for entry in self.entries:  # kept in ascending depth
             self.deadline.check()
             t = entry.table
             if t.nrows < h_table.nrows:
@@ -674,20 +662,21 @@ class _Engine:
         return rec(0, target, [])
 
     def assemble_program(self, mapping: Sequence[Yield]) -> Program:
-        needed: dict[str, ForwardEntry] = {}
+        needed: set[str] = set()
 
         def visit(name: str):
-            entry = self.seen_tables[self.state[name]]
-            if entry.stmt is None or name in needed:
+            stmt = self.seen_tables[self.state[name]].stmt
+            if stmt is None or name in needed:
                 return
-            for src in sources(entry.stmt):
+            needed.add(name)
+            for src in sources(stmt):
                 visit(src)
-            needed[name] = entry
 
         for stmt in mapping:
             visit(stmt.src)
-        transform = tuple(e.stmt for e in
-                          sorted(needed.values(), key=lambda e: e.order))
+        # An entry's sources were kept before it, so kept order is topological.
+        transform = tuple(e.stmt for e in self.entries
+                          if e.table.name in needed)
         program = Program(transform, tuple(mapping))
         try:
             got = exec_program(program, self.task.inputs, self.task.action)
@@ -736,6 +725,7 @@ class _Engine:
             return self._finish("timeout", None, start)
 
     def _finish(self, status, program, start) -> SynthResult:
+        self.stats.forward_tables = len(self.entries)
         self.stats.elapsed_ms = int((time.monotonic() - start) * 1000)
         return SynthResult(status, program, self.stats)
 
@@ -758,9 +748,4 @@ def generate_hypotheses(output: Table, inputs: Sequence[Table],
     """The ranked hypothesis stream, fully drained (bounded)."""
     gen = HypothesisGenerator(output, inputs,
                               SynthSettings(hypothesis_bound=bound))
-    out = []
-    while True:
-        h = gen.next()
-        if h is None:
-            return out
-        out.append(h)
+    return list(iter(gen.next, None))

@@ -43,10 +43,12 @@ Value = int | str | Id
 
 
 def type_of(value: Value) -> ColumnType:
-    """Return the unique column type of a cell value."""
+    """Return the unique column type of a cell value; an Int outside the
+    signed 64-bit range raises IntRangeError."""
     if isinstance(value, bool):
         raise SchemaError("boolean is not a table value")
     if isinstance(value, int):
+        check_int(value)
         return ColumnType.INT
     if isinstance(value, str):
         return ColumnType.STR
@@ -141,8 +143,6 @@ class Table:
                     raise SchemaError(
                         f"cell {value!r} does not match column {col}:{ty} in {name!r}"
                     )
-                if isinstance(value, int):
-                    check_int(value)
             checked.add(row)
         self.rows = tuple(sorted(checked, key=row_key))
         self._rowset = frozenset(self.rows)

@@ -140,12 +140,16 @@ def test_exec_bad_file_exits_1_without_traceback(tmp_path, program, tables):
     assert proc.stderr.startswith("error: ")
 
 
-@pytest.mark.parametrize("program", [
-    'Yield("act", t, linear(1,0)(a, b), s);',
-    'Yield("act", t, sum(0)(a), s);',
-    'Yield("act", t, a, concat[x1{Lower#1}](s));',
-], ids=["linear-of-two-inputs", "sum-of-one-input", "concat-reads-missing-input"])
-def test_exec_wrong_feature_input_count_is_invalid(tmp_path, program):
+@pytest.mark.parametrize("program, where", [
+    ('Yield("act", t, linear(1,0)(a, b), s);', "yield 0 arg "),
+    ('Yield("act", t, sum(0)(a), s);', "yield 0 arg "),
+    ('Yield("act", t, a, concat[x1{Lower#1}](s));', "yield 0 arg "),
+    ('u = Filter(t, intLt(a, 99999999999999999999));\nYield("act", u, a, s);',
+     "statement 0: "),
+    ('Yield("act", t, 99999999999999999999, s);', "yield 0 arg "),
+], ids=["linear-of-two-inputs", "sum-of-one-input", "concat-reads-missing-input",
+        "filter-int-out-of-range", "yield-int-out-of-range"])
+def test_exec_wrong_feature_input_count_is_invalid(tmp_path, program, where):
     prog_path, tables_path = tmp_path / "bad.prog", tmp_path / "tables.json"
     prog_path.write_text(program)
     tables_path.write_text(json.dumps({
@@ -162,7 +166,7 @@ def test_exec_wrong_feature_input_count_is_invalid(tmp_path, program):
          str(tables_path)], capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_ERROR
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("invalid program [type check]: yield 0 arg ")
+    assert proc.stderr.startswith("invalid program [type check]: " + where)
 
 
 def test_bench_report_matches_schema(capsys, tmp_path):

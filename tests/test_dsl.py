@@ -158,14 +158,18 @@ def test_filter_rejects_mistyped_predicate(predicate):
         eval_predicate(predicate, _MIXED.rows[0], _MIXED.schema)
 
 
+_TOO_BIG = 99999999999999999999  # outside the signed 64-bit range
+
+
 @pytest.mark.parametrize("projection,out_type", [
     (MutateP(linear(1, 0), ("s",)), INT),
     (MutateP(substring(ExtractSpec((TokenClass("Digits"),), 1)), ("n",)), STR),
     (MutateP(linear(1, 0), ("n", "n")), INT),
     (MutateP(sum_feature(0), ("n",)), INT),
     (MutateP(parse_feature("concat[x1{Lower#1}]"), ("s",)), STR),
+    (ConstP(_TOO_BIG), INT),
 ], ids=["linear-over-Str", "substring-over-Int", "linear-of-two", "sum-of-one",
-        "concat-reads-missing-input"])
+        "concat-reads-missing-input", "int-constant-out-of-range"])
 def test_yield_rejects_mistyped_feature_input(projection, out_type):
     sig = ActionSignature("act", (("v", out_type),))
     stmt = Yield("m", (ConstP("act"), projection))
@@ -174,6 +178,15 @@ def test_yield_rejects_mistyped_feature_input(projection, out_type):
     violations = validate_program(Program((), (stmt,)), [_MIXED.schema], ["m"], sig)
     assert [v.rule for v in violations] == ["type check"]
     assert violations[0].message.startswith("yield 0 arg 1: ")
+
+
+def test_out_of_range_filter_constant_is_a_type_violation():
+    sig = ActionSignature("act", (("v", INT),))
+    program = Program((Filter("u", "m", SymbolApp("IntLt", "n", _TOO_BIG)),),
+                      (Yield("u", (ConstP("act"), ColP("n"))),))
+    violations = validate_program(program, [_MIXED.schema], ["m"], sig)
+    assert [(v.rule, v.message) for v in violations] == [
+        ("type check", f"statement 0: integer {_TOO_BIG} out of 64-bit range")]
 
 
 def test_yield_rejects_another_action(frames_in):
@@ -327,6 +340,17 @@ def test_validate_catches_violations(frames_in):
     violations = validate_program(mistyped, schemas, names, SHIFT)
     assert [(v.rule, v.message) for v in violations if v.rule == "type check"] == [
         ("type check", "statement 0: column 'file' is not Int for IsOdd")]
+
+    # A Join on non-Id columns is reported once per column, not again by
+    # the type check.
+    counts = Schema([("n", INT)])
+    int_join = Program((Join("u", "ti", "c", "frame", "n"),), ())
+    violations = validate_program(int_join, schemas + [counts], names + ["c"], SHIFT)
+    assert [(v.rule, v.message) for v in violations] == [
+        ("Id-typed join", "statement 0 joins on non-Id 'frame'"),
+        ("Id-typed join", "statement 0 joins on non-Id 'n'"),
+        ("nonempty mapping", "program has no Yield"),
+    ]
 
 
 def test_exec_program_raises_named_violations(frames_in):

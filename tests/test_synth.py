@@ -7,7 +7,7 @@ import pytest
 
 from tablesynth.domains import load_benchmark
 from tablesynth.dsl import ActionSignature, exec_program
-from tablesynth.errors import SchemaError
+from tablesynth.errors import IntRangeError, SchemaError
 from tablesynth.progtext import format_program
 from tablesynth.synth import (
     SynthSettings,
@@ -33,12 +33,12 @@ Yield("shift", t1, id, "GB", linear(-5,-25)(frame), linear(-5,-25)(frame));
 Yield("shift", t2, id, "GB", linear(5,20)(frame), linear(5,20)(frame));
 """
 EXPECTED_FAMILY = EXPECTED_RUNNING.replace('t2, id, "GB"', 't2, id, "R"')
-EXPECTED_WRAP = """t8 = Filter(elements, strEq(tag, "item"));
-Yield("wrap", t8, id, "div");
+EXPECTED_WRAP = """t3 = Filter(elements, strEq(tag, "item"));
+Yield("wrap", t3, id, "div");
 """
 EXPECTED_FILL_SUM = 'Yield("fill", sheet, sum(0)(col1, col2), row, 3);\n'
-EXPECTED_FILL_ROWSUM = """t247 = GroupJoin(cells, row, sum(content));
-Yield("fill", t247, sum_content, row, 3);
+EXPECTED_FILL_ROWSUM = """t176 = GroupJoin(cells, row, sum(content));
+Yield("fill", t176, sum_content, row, 3);
 """
 EXPECTED_RENAME = ('Yield("rename", files, id, '
                    'concat[x1{Alnum#1} "_" x0{Digits#1}](name, owner));\n')
@@ -216,6 +216,11 @@ def test_task_rejects_mismatched_output_schema(frames_in):
         SynthTask((frames_in,), bad, SHIFT)
 
 
+def test_task_rejects_out_of_range_constant(frames_in, shift_out):
+    with pytest.raises(IntRangeError):
+        SynthTask((frames_in,), shift_out, SHIFT, (2**70,))
+
+
 def _family(k):
     return lambda settings: ablation_family(k, settings)
 
@@ -282,6 +287,22 @@ def test_search_counters_and_program_pinned(make, mode, max_depth, status,
             stats.matches_solved) == counters
     text = format_program(result.program) if result.program else None
     assert text == program
+
+
+@pytest.mark.parametrize("input_name", ["cells", "t1"])
+def test_kept_tables_are_named_in_kept_order(input_name):
+    # A candidate that is not kept spends no name, so the table kept at
+    # index i of the entries is t<i>; an input's name is skipped instead.
+    case = load_benchmark(BENCHMARKS / "spreadsheet/fill-rowsum.json")
+    (cells,) = case.inputs
+    task = SynthTask((cells.renamed(input_name),), case.output, case.action,
+                     case.constants)
+    engine = _Engine(task)
+    assert engine.run().status == "solved"
+    names = [e.table.name for e in engine.entries[1:]]
+    shift = 1 if input_name == "t1" else 0
+    assert names == [f"t{i + shift}" for i in range(1, len(engine.entries))]
+    assert input_name not in names
 
 
 def test_tracer_hooks_reach_the_engine(monkeypatch):

@@ -13,6 +13,10 @@ import json
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+# The corpus is written by this checkout's engine, not an installed one.
+sys.path.insert(0, str(ROOT / "src"))
+
 from tablesynth.domains import check_overfit, domain_to_json, load_benchmark
 from tablesynth.domains import ActionSpec, DomainSpec, EntitySpec, FieldSpec
 from tablesynth.progtext import format_program
@@ -26,7 +30,6 @@ from tablesynth.table import (
     value_to_json,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "benchmarks"
 
 INT = ColumnType.INT
