@@ -97,15 +97,13 @@ def _holds(p: Predicate, row, schema: Schema) -> bool:
         return not _holds(p.inner, row, schema)
     if isinstance(p, And):
         return _holds(p.left, row, schema) and _holds(p.right, row, schema)
-    if isinstance(p, Or):
-        return _holds(p.left, row, schema) or _holds(p.right, row, schema)
-    raise SchemaError(f"not a predicate: {p!r}")
+    return _holds(p.left, row, schema) or _holds(p.right, row, schema)
 
 
 def eval_predicate(p: Predicate, row, schema: Schema) -> bool:
     """Whether ``row`` of a table of ``schema`` satisfies ``p``; raises
-    SchemaError when ``p`` is mistyped for ``schema``, and IntRangeError
-    when one of its Int constants is out of range."""
+    SchemaError when ``p`` is not a predicate or is mistyped for ``schema``,
+    and IntRangeError when one of its Int constants is out of range."""
     _check_predicate(p, schema)
     return _holds(p, row, schema)
 
@@ -138,7 +136,9 @@ def _predicate_problems(p: Predicate, schema: Schema) -> list[str]:
         return problems
     if isinstance(p, Not):
         return _predicate_problems(p.inner, schema)
-    return _predicate_problems(p.left, schema) + _predicate_problems(p.right, schema)
+    if isinstance(p, (And, Or)):
+        return _predicate_problems(p.left, schema) + _predicate_problems(p.right, schema)
+    return [f"not a predicate: {p!r}"]
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +474,13 @@ def exec_program(
     for i, stmt in enumerate(program.transform):
         try:
             state.define(exec_transform(state, stmt))
-        except (SchemaError, FeatureMissError) as exc:
+        except (SchemaError, FeatureMissError, IntRangeError) as exc:
             raise SchemaError(f"transform statement {i}: {exc}") from exc
     rows = []
     for i, stmt in enumerate(program.mapping):
         try:
             rows += exec_yield(state, stmt, action).rows
-        except (SchemaError, FeatureMissError) as exc:
+        except (SchemaError, FeatureMissError, IntRangeError) as exc:
             raise SchemaError(f"mapping statement {i}: {exc}") from exc
     return Table("out", action.output_schema(), rows)
 
@@ -517,6 +517,10 @@ def validate_program(
     violations: list[Violation] = []
     env: dict[str, Schema] = dict(zip(input_names, input_schemas))
     for i, stmt in enumerate(program.transform):
+        if not isinstance(stmt, TransformStmt):
+            violations.append(Violation(
+                "type check", f"statement {i} is not a transform statement: {stmt!r}"))
+            continue
         srcs = sources(stmt)
         missing = [s for s in srcs if s not in env]
         if missing:
@@ -546,6 +550,9 @@ def validate_program(
     if not program.mapping:
         violations.append(Violation("nonempty mapping", "program has no Yield"))
     for i, stmt in enumerate(program.mapping):
+        if not isinstance(stmt, Yield):
+            violations.append(Violation("type check", f"yield {i} is not a Yield: {stmt!r}"))
+            continue
         if stmt.src not in env:
             violations.append(
                 Violation("defined-before-use", f"yield {i} uses undefined {stmt.src!r}")

@@ -70,25 +70,19 @@ class TokenClass:
         return f"'{self.char}'" if self.kind == "Punct" else self.kind
 
 
+#: kind -> character pattern, in ranking order: specific numeric runs first,
+#: then the broad alphanumeric class, then alphabetic subclasses. Earlier
+#: classes win ties in solvers.
 _TOKEN_PATTERNS = {
     "Digits": "[0-9]",
+    "Alnum": "[A-Za-z0-9]",
+    "Alpha": "[A-Za-z]",
     "Lower": "[a-z]",
     "Upper": "[A-Z]",
-    "Alpha": "[A-Za-z]",
-    "Alnum": "[A-Za-z0-9]",
     "Whitespace": r"[ \t]",
 }
 
-DIGITS = TokenClass("Digits")
-LOWER = TokenClass("Lower")
-UPPER = TokenClass("Upper")
-ALPHA = TokenClass("Alpha")
-ALNUM = TokenClass("Alnum")
-WHITESPACE = TokenClass("Whitespace")
-
-# Ranking order: specific numeric runs first, then the broad alphanumeric
-# class, then alphabetic subclasses. Earlier classes win ties in solvers.
-BASE_TOKEN_CLASSES = (DIGITS, ALNUM, ALPHA, LOWER, UPPER, WHITESPACE)
+BASE_TOKEN_CLASSES = tuple(TokenClass(kind) for kind in _TOKEN_PATTERNS)
 
 
 @dataclass(frozen=True)

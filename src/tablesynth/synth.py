@@ -220,8 +220,9 @@ def score_subtable(rows: Sequence, schema: Schema, inputs: Sequence[Table]) -> i
 # Hypothesis generation and ranking.
 
 
-def _rowset_key(rows: frozenset) -> tuple:
-    return tuple(sorted(row_key(r) for r in rows))
+def _rank(h: Hypothesis) -> tuple:
+    """Higher score first, then more rows, then canonical row-set order."""
+    return (-h.score, -len(h.rows), sorted(row_key(r) for r in h.rows))
 
 
 class HypothesisGenerator:
@@ -230,8 +231,7 @@ class HypothesisGenerator:
     Candidates: the full example; per-column constant-signature groups;
     maximal consecutive-integer runs per Int column; concat-feasible groups
     per Str column; pairwise intersections; complements of everything; plus
-    the full power set when the example is small enough. Ranked by score
-    descending, then more rows, then canonical row-set order.
+    the full power set when the example is small enough, ranked by ``_rank``.
     """
 
     def __init__(self, output: Table, inputs: Sequence[Table],
@@ -270,24 +270,17 @@ class HypothesisGenerator:
                     add(frozenset(combo), "signature-group")
         self.queue: list[Hypothesis] = sorted(
             (Hypothesis(rows, score_subtable(rows, output.schema, self.inputs), tag)
-             for rows, tag in pool.items()),
-            key=lambda h: (-h.score, -len(h.rows), _rowset_key(h.rows)),
-        )
+             for rows, tag in pool.items()), key=_rank)
         self.emitted = 0
 
     def _consecutive_runs(self, j: int) -> list[frozenset]:
-        vals = [r[j] for r in self.output.rows]
-        if len(set(vals)) != len(vals):
-            return []
         by_val = {r[j]: r for r in self.output.rows}
-        runs = []
-        current = []
-        for v in sorted(by_val):
-            if current and v != current[-1] + 1:
-                runs.append(current)
-                current = []
-            current.append(v)
-        runs.append(current)
+        if len(by_val) != self.output.nrows:
+            return []
+        # Along sorted distinct values, value minus position is constant
+        # exactly within a run of consecutive integers.
+        runs = [[v for _, v in run] for _, run in itertools.groupby(
+            enumerate(sorted(by_val)), key=lambda p: p[1] - p[0])]
         return [frozenset(by_val[v] for v in run) for run in runs if len(run) >= 2]
 
     def next(self) -> Optional[Hypothesis]:
@@ -298,10 +291,9 @@ class HypothesisGenerator:
 
     def update_rank(self, matched: Hypothesis):
         complement = self.all_rows - matched.rows
-        demoted = [h for h in self.queue
-                   if h.rows < matched.rows and h.rows != complement]
-        kept = [h for h in self.queue
-                if not (h.rows < matched.rows) and h.rows != complement]
+        rest = [h for h in self.queue if h.rows != complement]
+        kept = [h for h in rest if not h.rows < matched.rows]
+        demoted = [h for h in rest if h.rows < matched.rows]
         front = []
         if complement:
             front = [Hypothesis(
@@ -508,14 +500,13 @@ class _Engine:
             yield (0,) * t.nrows
             return
         identifying = []
-        for j in range(len(h.schema)):
-            vals = [row[j] for row in h.rows]
-            if len(set(vals)) == len(vals):
-                identifying.append((j, {v: i for i, v in enumerate(vals)}))
+        for j, (_, ty_j) in enumerate(h.schema.columns):
+            index = {row[j]: i for i, row in enumerate(h.rows)}
+            if len(index) == h.nrows:
+                identifying.append((ty_j, index))
         if identifying:
             seen = set()
-            for j, index in identifying:
-                ty_j = h.schema.columns[j][1]
+            for ty_j, index in identifying:
                 for c, (_, tty) in enumerate(t.schema.columns):
                     if tty is not ty_j:
                         continue
@@ -550,30 +541,24 @@ class _Engine:
         compat = [[i for i, hrow in enumerate(h.rows)
                    if all(any(trow[c] == hrow[j] for c in t_id) for j in h_id)]
                   for trow in t.rows]
-        budget = [SURJECTION_NODE_CAP]
+        budget = SURJECTION_NODE_CAP  # one unit per node entered
 
-        def rec(k, assignment, covered):
-            if budget[0] <= 0:
+        def rec(assignment: tuple, covered: frozenset):
+            nonlocal budget
+            if budget <= 0:
                 return
-            budget[0] -= 1
+            budget -= 1
+            k = len(assignment)
             if k == t.nrows:
                 if len(covered) == nh:
-                    yield tuple(assignment)
+                    yield assignment
                 return
-            remaining = t.nrows - k
-            if nh - len(covered) > remaining:
+            if nh - len(covered) > t.nrows - k:
                 return
             for i in compat[k]:
-                assignment.append(i)
-                added = i not in covered
-                if added:
-                    covered.add(i)
-                yield from rec(k + 1, assignment, covered)
-                if added:
-                    covered.remove(i)
-                assignment.pop()
+                yield from rec(assignment + (i,), covered | {i})
 
-        yield from rec(0, [], set())
+        yield from rec((), frozenset())
 
     def _solve_columns(self, t: Table, h: Table,
                        r: tuple[int, ...]) -> Optional[tuple[Projection, ...]]:
@@ -636,30 +621,23 @@ class _Engine:
 
     def assemble_mapping(self, matched: Sequence[tuple[Yield, Hypothesis]]):
         """Exact cover of the output rows by pairwise-disjoint hypotheses."""
-        target = frozenset(self.task.output.rows)
-        seen = set()
-        items = []
-        for stmt, h in sorted(matched, key=lambda m: (-m[1].score,
-                                                      -len(m[1].rows),
-                                                      _rowset_key(m[1].rows))):
-            if h.rows not in seen:
-                seen.add(h.rows)
-                items.append((stmt, h.rows))
+        first: dict[frozenset, Yield] = {}  # per row set, its best-ranked match
+        for stmt, h in sorted(matched, key=lambda m: _rank(m[1])):
+            first.setdefault(h.rows, stmt)
+        items = list(first.items())
 
-        def rec(start, remaining, picked):
+        def rec(start, remaining) -> Optional[list[Yield]]:
             if not remaining:
-                return list(picked)
+                return []
             for k in range(start, len(items)):
-                stmt, rows = items[k]
+                rows, stmt = items[k]
                 if rows <= remaining:
-                    picked.append(stmt)
-                    result = rec(k + 1, remaining - rows, picked)
-                    if result is not None:
-                        return result
-                    picked.pop()
+                    rest = rec(k + 1, remaining - rows)
+                    if rest is not None:
+                        return [stmt] + rest
             return None
 
-        return rec(0, target, [])
+        return rec(0, frozenset(self.task.output.rows))
 
     def assemble_program(self, mapping: Sequence[Yield]) -> Program:
         needed: set[str] = set()

@@ -360,6 +360,48 @@ def test_exec_program_raises_named_violations(frames_in):
     assert exc.value.violations
 
 
+_ODD_YIELD = Yield("ti", (ConstP("shift"), ColP("id"), ConstP("GB"),
+                          ColP("frame"), ColP("frame")))
+
+
+@pytest.mark.parametrize("program,violation", [
+    (Program((Filter("u", "ti", 42),), (_ODD_YIELD,)),
+     ("type check", "statement 0: not a predicate: 42")),
+    (Program((_ODD_YIELD,), (_ODD_YIELD,)),
+     ("type check", f"statement 0 is not a transform statement: {_ODD_YIELD!r}")),
+    (Program((), (Filter("u", "ti", SymbolApp("IsOdd", "frame")),)),
+     ("type check", "yield 0 is not a Yield: "
+                    "Filter(target='u', src='ti', predicate=SymbolApp(symbol='IsOdd', "
+                    "col='frame', arg=None, arg_is_col=False))")),
+], ids=["filter-with-int-predicate", "yield-as-transform", "filter-as-mapping"])
+def test_malformed_program_is_a_named_violation(frames_in, program, violation):
+    with pytest.raises(ValidationFailure) as exc:
+        exec_program(program, [frames_in], SHIFT)
+    assert [(v.rule, v.message) for v in exc.value.violations] == [violation]
+
+
+def test_eval_predicate_rejects_a_non_predicate(frames_in):
+    with pytest.raises(SchemaError, match="not a predicate: 42"):
+        eval_predicate(42, frames_in.rows[0], frames_in.schema)
+
+
+def test_runtime_range_error_names_its_statement():
+    sig = ActionSignature("act", (("v", INT),))
+    big = Table("t", Schema([("a", INT), ("s", STR)]), [(2**62, "x"), (2**62, "y")])
+    summed = Program((GroupJoin("g", "t", "a", (("sum", "a"),)),),
+                     (Yield("g", (ConstP("act"), ColP("sum_a"))),))
+    with pytest.raises(SchemaError) as exc:
+        exec_program(summed, [big], sig)
+    assert str(exc.value) == ("transform statement 0: "
+                              "integer 9223372036854775808 out of 64-bit range")
+    scaled = Program((), (Yield("t", (ConstP("act"),
+                                      MutateP(linear(4, 0), ("a",)))),))
+    with pytest.raises(SchemaError) as exc:
+        exec_program(scaled, [big], sig)
+    assert str(exc.value) == ("mapping statement 0: "
+                              "integer 18446744073709551616 out of 64-bit range")
+
+
 def test_empty_filter_result_is_legal(frames_in):
     prog = Program(
         (Filter("u", "ti", SymbolApp("IntGeq", "frame", 100)),

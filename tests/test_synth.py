@@ -10,6 +10,7 @@ from tablesynth.dsl import ActionSignature, exec_program
 from tablesynth.errors import IntRangeError, SchemaError
 from tablesynth.progtext import format_program
 from tablesynth.synth import (
+    HypothesisGenerator,
     SynthSettings,
     SynthTask,
     _Engine,
@@ -102,6 +103,36 @@ def test_hypotheses_distinct(shift_out, frames_in):
     assert len(rowsets) == len(set(rowsets))
 
 
+def test_hypothesis_queue_pinned_with_rank_updates(shift_out, frames_in):
+    # The whole emission sequence of the worked example, with a match
+    # reported after the 1st and 3rd emissions: a match pulls its
+    # complement to the front and demotes its strict subsets.
+    gen = HypothesisGenerator(shift_out, [frames_in], SynthSettings())
+    emitted = []
+    while (h := gen.next()) is not None:
+        emitted.append((" ".join(sorted(r[1].label for r in h.rows)),
+                        h.score, h.provenance))
+        if len(emitted) in (1, 3):
+            gen.update_rank(h)
+    assert emitted == [
+        ("f1 f2 f3 f4", 8, "full-table"),
+        ("f1 f2 f3", 6, "complement"),
+        ("f1 f2 f4", 6, "complement"),
+        ("f3", 5, "complement"),
+        ("f1 f3 f4", 6, "complement"),
+        ("f2 f3 f4", 6, "complement"),
+        ("f1 f3", 4, "signature-group"),
+        ("f2 f3", 4, "signature-group"),
+        ("f3 f4", 4, "signature-group"),
+        ("f1", 5, "signature-group"),
+        ("f2", 5, "signature-group"),
+        ("f4", 5, "signature-group"),
+        ("f1 f2", 4, "signature-group"),
+        ("f1 f4", 4, "signature-group"),
+        ("f2 f4", 4, "signature-group"),
+    ]
+
+
 # -- row surjections ---------------------------------------------------------
 
 def _engine(frames_in, shift_out) -> _Engine:
@@ -154,6 +185,21 @@ def test_blind_surjections_without_identifying_column():
     result = synthesize(SynthTask((sheet,), out, fill))
     assert result.status == "solved"
     assert exec_program(result.program, [sheet], fill) == out
+
+
+def test_blind_surjections_stop_at_the_node_cap():
+    # Every one of the 10 rows may map to any of the 3 hypothesis rows, so
+    # the search tree outgrows SURJECTION_NODE_CAP: 12541 of the 55980 row
+    # maps are found before the budget runs out.
+    t = Table("t", Schema([("a", INT), ("s", STR)]),
+              [(a, s) for a in range(5) for s in "xy"])
+    act = ActionSignature("act", (("b", INT), ("c", STR)))
+    h = Table("h", act.output_schema(),
+              [("act", 0, "p"), ("act", 0, "q"), ("act", 1, "p")])
+    maps = list(_Engine(SynthTask((t,), h, act))._surjections(t, h))
+    assert len(maps) == 12541
+    assert maps[0] == (0, 0, 0, 0, 0, 0, 0, 0, 1, 2)
+    assert maps[-1] == (0, 2, 0, 0, 0, 2, 1, 2, 0, 2)
 
 
 # -- end-to-end --------------------------------------------------------------
