@@ -78,7 +78,9 @@ def predicate_size(p: Predicate) -> int:
         return 1
     if isinstance(p, Not):
         return predicate_size(p.inner)
-    return predicate_size(p.left) + predicate_size(p.right)
+    if isinstance(p, (And, Or)):
+        return predicate_size(p.left) + predicate_size(p.right)
+    raise SchemaError(f"not a predicate: {p!r}")
 
 
 def _leaf_holds(app: SymbolApp, row, schema: Schema) -> bool:
@@ -450,6 +452,8 @@ def _yield_problems(stmt: Yield, schema: Schema,
 
 
 def exec_yield(state: ExecState, stmt: Yield, action: ActionSignature) -> Table:
+    if not isinstance(stmt, Yield):
+        raise SchemaError(f"not a Yield: {stmt!r}")
     t = state[stmt.src]
     problems = _yield_problems(stmt, t.schema, action)
     if problems:

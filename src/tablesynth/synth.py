@@ -11,6 +11,12 @@ ranked by a consistency score, each matched against forward tables by
 solving per-column feature parameters. Matched hypotheses are combined by
 exact cover, and the winning cover is assembled into a verified program.
 
+Matching pulls forward tables from the depth's stream: a depth is kept only
+as far as the scan of a hypothesis reaches, and the rest of it is kept
+before the next depth starts or the search gives up. So every depth's
+statements, names and kept tables are those of a fully built depth, and a
+solved search stops keeping tables at its first match.
+
 One search loop serves both modes; they differ only in the per-depth source
 of hypotheses. The bidirectional mode uses the ranked, bounded
 ``HypothesisGenerator``. The forward-only baseline enumerates every subset of
@@ -395,6 +401,8 @@ class _Engine:
         self.seen_tables: dict[Table, ForwardEntry] = {}
         self.pred_memo: dict = {}
         self.solver_cache: dict = {}
+        #: The current depth's keep loop, suspended after its last kept entry.
+        self.stream: Iterator[ForwardEntry] = iter(())
         for t in task.inputs:
             self._add_entry(None, t, 0)
 
@@ -456,16 +464,23 @@ class _Engine:
                     yield Order(self._fresh_name(), e.table.name, col, 0, False,
                                 col_index)
 
-    def expand(self, d: int):
-        """Keep each depth-``d`` candidate whose table is new and non-empty."""
+    def _keep(self, d: int) -> Iterator[ForwardEntry]:
+        """Keep each depth-``d`` candidate whose table is new and non-empty,
+        yielding each entry once it is kept."""
         for stmt in self._candidates(d):
             self.deadline.check()
             try:
                 table = exec_transform(self.state, stmt)
             except TableSynthError:
                 continue
-            if table.nrows:  # empty intermediates can never feed a Yield
-                self._add_entry(stmt, table, d)
+            # Empty intermediates can never feed a Yield.
+            if table.nrows and self._add_entry(stmt, table, d):
+                yield self.entries[-1]
+
+    def expand(self):
+        """Keep the rest of the current depth."""
+        for _ in self.stream:
+            pass
 
     # -- matching ------------------------------------------------------------
 
@@ -596,9 +611,12 @@ class _Engine:
         return None
 
     def match_hypothesis(self, h: Hypothesis) -> Optional[Yield]:
-        """First forward table (ascending depth) admitting an exact match."""
+        """First forward table (ascending depth) admitting an exact match.
+        Past the last kept entry, the scan keeps more of the current depth."""
         h_table = Table("h", self.task.output.schema, h.rows)
-        for entry in self.entries:  # kept in ascending depth
+        # The list iterator ends at the entries kept so far; the stream then
+        # yields each entry it appends.
+        for entry in itertools.chain(self.entries, self.stream):
             self.deadline.check()
             t = entry.table
             if t.nrows < h_table.nrows:
@@ -641,17 +659,15 @@ class _Engine:
 
     def assemble_program(self, mapping: Sequence[Yield]) -> Program:
         needed: set[str] = set()
-
-        def visit(name: str):
+        # A worklist, not a recursive closure: a closure that names itself
+        # and this engine would keep the engine alive until a cyclic GC.
+        todo = [stmt.src for stmt in mapping]
+        while todo:
+            name = todo.pop()
             stmt = self.seen_tables[self.state[name]].stmt
-            if stmt is None or name in needed:
-                return
-            needed.add(name)
-            for src in sources(stmt):
-                visit(src)
-
-        for stmt in mapping:
-            visit(stmt.src)
+            if stmt is not None and name not in needed:
+                needed.add(name)
+                todo += sources(stmt)
         # An entry's sources were kept before it, so kept order is topological.
         transform = tuple(e.stmt for e in self.entries
                           if e.table.name in needed)
@@ -684,7 +700,7 @@ class _Engine:
             depths = range(1, max_depth + 1) if max_depth > 0 else [0]
             for d in depths:
                 if d > 0:
-                    self.expand(d)
+                    self.stream = self._keep(d)
                 source = self._hypotheses(matched)
                 while (h := source.next()) is not None:
                     self.stats.hypotheses_tried += 1
@@ -698,11 +714,15 @@ class _Engine:
                     if cover is not None:
                         program = self.assemble_program(cover)
                         return self._finish("solved", program, start)
+                self.expand()
             return self._finish("exhausted", None, start)
         except _SearchTimeout:
             return self._finish("timeout", None, start)
 
     def _finish(self, status, program, start) -> SynthResult:
+        # A suspended stream's frame refers to this engine; dropping it lets
+        # reference counting free the engine.
+        self.stream = iter(())
         self.stats.forward_tables = len(self.entries)
         self.stats.elapsed_ms = int((time.monotonic() - start) * 1000)
         return SynthResult(status, program, self.stats)

@@ -36,6 +36,16 @@ def test_synth_solved(capsys):
     assert stats["elapsed_ms"] >= 0
 
 
+def test_synth_stops_keeping_tables_at_the_first_match(capsys):
+    # delete-pdf's one hypothesis matches the 23rd table kept; the rest of
+    # depth 1 (4100 tables in all) is never built.
+    code = main(["synth", str(BENCHMARKS / "file" / "delete-pdf.json")])
+    _, err = capsys.readouterr()
+    assert code == EXIT_SOLVED
+    stats = json.loads(err.strip().splitlines()[-1])
+    assert (stats["forward_tables"], stats["hypotheses_tried"]) == (23, 1)
+
+
 def test_synth_both_modes(capsys):
     code = main(["synth", WRAP, "--mode", "both"])
     out, err = capsys.readouterr()

@@ -385,6 +385,19 @@ def test_eval_predicate_rejects_a_non_predicate(frames_in):
         eval_predicate(42, frames_in.rows[0], frames_in.schema)
 
 
+def test_predicate_size_rejects_a_non_predicate():
+    with pytest.raises(SchemaError, match="not a predicate: 42"):
+        predicate_size(42)
+    with pytest.raises(SchemaError, match="not a predicate: 42"):
+        predicate_size(Not(And(SymbolApp("IsOdd", "a"), 42)))
+
+
+def test_exec_yield_rejects_a_non_yield(frames_in):
+    stmt = Filter("u", "ti", SymbolApp("IsOdd", "frame"))
+    with pytest.raises(SchemaError, match="not a Yield: Filter"):
+        exec_yield(ExecState({"ti": frames_in}), stmt, SHIFT)
+
+
 def test_runtime_range_error_names_its_statement():
     sig = ActionSignature("act", (("v", INT),))
     big = Table("t", Schema([("a", INT), ("s", STR)]), [(2**62, "x"), (2**62, "y")])

@@ -3,6 +3,10 @@ candidates, and end-to-end synthesis on the worked example."""
 
 from __future__ import annotations
 
+import gc
+import random
+import weakref
+
 import pytest
 
 from tablesynth.domains import load_benchmark
@@ -10,6 +14,7 @@ from tablesynth.dsl import ActionSignature, exec_program
 from tablesynth.errors import IntRangeError, SchemaError
 from tablesynth.progtext import format_program
 from tablesynth.synth import (
+    Hypothesis,
     HypothesisGenerator,
     SynthSettings,
     SynthTask,
@@ -20,7 +25,7 @@ from tablesynth.synth import (
     synthesize_forward_only,
 )
 from tablesynth.table import ColumnType, Id, Schema, Table
-from tablesynth.taskgen import ablation_family
+from tablesynth.taskgen import ablation_family, random_task
 
 from conftest import BENCHMARKS, ROOT, SHIFT, SHIFT_SCHEMA
 
@@ -307,16 +312,16 @@ def _rename(settings):
         pytest.param(_benchmark("gif/running-example"), "forward-only", 3,
                      "solved", (41, 10, 2), EXPECTED_RUNNING, id="gif-fwd"),
         pytest.param(_benchmark("xml/wrap-items"), "forward-only", 3, "solved",
-                     (38, 1, 1), EXPECTED_WRAP, id="wrap-fwd"),
+                     (4, 1, 1), EXPECTED_WRAP, id="wrap-fwd"),
         pytest.param(_family(4), "forward-only", 0, "exhausted", (1, 15, 0),
                      None, id="family4-fwd-depth0"),
         # The matcher's candidate order: a two-column sum, a GroupJoin
         # aggregate, and a concat whose inputs come in permutation order.
         pytest.param(_benchmark("spreadsheet/fill-sum"), "bi", 3, "solved",
-                     (130, 1, 1), EXPECTED_FILL_SUM, id="fill-sum-bi"),
+                     (1, 1, 1), EXPECTED_FILL_SUM, id="fill-sum-bi"),
         pytest.param(_benchmark("spreadsheet/fill-rowsum"), "bi", 3, "solved",
-                     (550, 1, 1), EXPECTED_FILL_ROWSUM, id="fill-rowsum-bi"),
-        pytest.param(_rename, "bi", 1, "solved", (8, 1, 1), EXPECTED_RENAME,
+                     (177, 1, 1), EXPECTED_FILL_ROWSUM, id="fill-rowsum-bi"),
+        pytest.param(_rename, "bi", 1, "solved", (1, 1, 1), EXPECTED_RENAME,
                      id="rename-two-inputs-bi"),
     ],
 )
@@ -333,6 +338,69 @@ def test_search_counters_and_program_pinned(make, mode, max_depth, status,
             stats.matches_solved) == counters
     text = format_program(result.program) if result.program else None
     assert text == program
+
+
+def _fully_kept(task, depth):
+    """The entries of an engine that keeps depths 1..``depth`` in full."""
+    engine = _Engine(task)
+    for d in range(1, depth + 1):
+        engine.stream = engine._keep(d)
+        engine.expand()
+    return engine.entries
+
+
+def test_lazy_entries_are_a_prefix_of_fully_kept_depths():
+    # Matching keeps a depth only as far as its scan reaches. What it keeps
+    # must be the start of what keeping every depth in full keeps, and all
+    # of it when the search ends without a match.
+    rng = random.Random(404)
+    tasks = [_benchmark(p.relative_to(BENCHMARKS).with_suffix("").as_posix())(
+                 SynthSettings()) for p in sorted(BENCHMARKS.glob("*/*.json"))]
+    assert len(tasks) == 6
+    tasks += [random_task(rng, SynthSettings(max_depth=1))[0] for _ in range(24)]
+    # One hypothesis per depth that matches without covering the output:
+    # no scan reaches the end of depth 2, so only the drain keeps the rest.
+    tasks.append(ablation_family(4, SynthSettings(max_depth=2,
+                                                  hypothesis_bound=1)))
+    statuses, cut = [], 0
+    for i, task in enumerate(tasks):
+        engine = _Engine(task)
+        status = engine.run().status
+        statuses.append(status)
+        lazy = [(e.stmt, e.table) for e in engine.entries]
+        depth = (max(e.depth for e in engine.entries) if status == "solved"
+                 else task.settings.max_depth)
+        full = [(e.stmt, e.table) for e in _fully_kept(task, depth)]
+        if status == "solved":
+            assert lazy == full[:len(lazy)], i
+            cut += len(lazy) < len(full)
+        else:
+            assert lazy == full, i
+    assert set(statuses) == {"solved", "exhausted"}
+    assert cut > 0
+
+
+def test_a_finished_engine_is_freed_without_the_cycle_collector():
+    # fill-rowsum is solved in the middle of a depth, so its stream is
+    # suspended when run() returns; that stream's frame refers to the engine.
+    gc.disable()
+    try:
+        engine = _Engine(_benchmark("spreadsheet/fill-rowsum")(SynthSettings()))
+        assert engine.run().status == "solved"
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_matching_on_a_fresh_engine_scans_the_inputs():
+    # Before run() there is no depth to pull from: only inputs are scanned.
+    task = _rename(SynthSettings())
+    eng = _Engine(task)
+    h = Hypothesis(frozenset(task.output.rows), 0, "full-table")
+    assert eng.match_hypothesis(h).src == "files"
+    assert len(eng.entries) == 1
 
 
 @pytest.mark.parametrize("input_name", ["cells", "t1"])
@@ -357,13 +425,17 @@ def test_tracer_hooks_reach_the_engine(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench.tracing import Tracer
 
+    # The rename task matches its input table and keeps no forward table;
+    # fill-rowsum keeps 177 before it matches one.
     tracer = Tracer()
     try:
         tracer.install()  # inside the try: a failed install is undone too
-        result = synthesize(_rename(SynthSettings(max_depth=1)))
+        results = [synthesize(_rename(SynthSettings(max_depth=1))),
+                   synthesize(_benchmark("spreadsheet/fill-rowsum")(
+                       SynthSettings()))]
     finally:
         tracer.uninstall()
-    assert result.status == "solved"
+    assert [r.status for r in results] == ["solved", "solved"]
     for counter in ("synth.exec_transform.calls", "synth.forward.kept",
                     "synth.solve.calls", "features.solve_concat.calls"):
         assert tracer.count[counter] > 0, counter
