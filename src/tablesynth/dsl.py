@@ -8,6 +8,7 @@ the final action table.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -275,7 +276,7 @@ class ExecState:
 def exec_filter(t: Table, predicate: Predicate, name: str = "filtered") -> Table:
     _check_predicate(predicate, t.schema)
     rows = [r for r in t.rows if _holds(predicate, r, t.schema)]
-    return Table(name, t.schema, rows)
+    return Table._canonical(name, t.schema, rows)
 
 
 def exec_join(t1: Table, t2: Table, col1: str, col2: str, name: str = "joined") -> Table:
@@ -295,8 +296,9 @@ def exec_join(t1: Table, t2: Table, col1: str, col2: str, name: str = "joined") 
     )
     i1 = t1.schema.index(col1)
     i2 = t2.schema.index(col2)
+    # Nested in row order, so canonical: row_key(r1 + r2) is row_key(r1) + row_key(r2).
     rows = [r1 + r2 for r1 in t1.rows for r2 in t2.rows if r1[i1] == r2[i2]]
-    return Table(name, schema, rows)
+    return Table._canonical(name, schema, rows)
 
 
 def _fresh_col(base: str, schema_names) -> str:
@@ -313,14 +315,20 @@ def _with_int_columns(
 ) -> Table:
     """``t`` extended by Int columns, built once and named ``name``.
     ``columns`` holds (base name, values aligned to ``t.rows``) pairs; each
-    column takes a fresh name against the columns before it."""
+    column takes a fresh name against the columns before it. Every new cell
+    is type-checked; ``t``'s rows keep their canonical order."""
     names = list(t.schema.names)
-    for base, _ in columns:
+    for base, vals in columns:
         names.append(_fresh_col(base, names))
+        for v in vals:
+            if type_of(v) is not ColumnType.INT:
+                raise SchemaError(f"cell {v!r} does not match column "
+                                  f"{names[-1]}:{ColumnType.INT} in {name!r}")
     schema = Schema(list(t.schema.columns)
                     + [(n, ColumnType.INT) for n in names[len(t.schema):]])
     new_cells = zip(*(vals for _, vals in columns))
-    return Table(name, schema, (row + cells for row, cells in zip(t.rows, new_cells)))
+    return Table._canonical(name, schema,
+                            [row + cells for row, cells in zip(t.rows, new_cells)])
 
 
 def exec_groupjoin(
@@ -341,8 +349,9 @@ def exec_groupjoin(
     columns = []
     for agg, col in aggs:
         ci = t.schema.index(col)
-        vals = [AGGREGATIONS[agg]([g[ci] for g in groups[row[gi]]]) for row in t.rows]
-        columns.append((f"{agg}_{col}", vals))
+        per_group = {k: AGGREGATIONS[agg]([g[ci] for g in rows])
+                     for k, rows in groups.items()}
+        columns.append((f"{agg}_{col}", [per_group[row[gi]] for row in t.rows]))
     return _with_int_columns(t, columns, name)
 
 
@@ -359,13 +368,24 @@ def exec_order(
         raise SchemaError(f"cannot order on Id column {col!r}")
     ci = t.schema.index(col)
     gi = t.schema.index(col_index) if col_index is not None else None
+
+    def group_of(row):
+        return None if gi is None else row[gi]
+
+    # Per group, its sorted values: a row's rank counts the values strictly
+    # below it (above it when inverted).
+    values: dict[Value, list] = {}
+    for row in t.rows:
+        values.setdefault(group_of(row), []).append(row[ci])
+    for vs in values.values():
+        vs.sort()
     ranks = []
     for row in t.rows:
-        group = [r for r in t.rows if gi is None or r[gi] == row[gi]]
+        vs = values[group_of(row)]
         if c_inv:
-            smaller = sum(1 for r in group if r[ci] > row[ci])
+            smaller = len(vs) - bisect.bisect_right(vs, row[ci])
         else:
-            smaller = sum(1 for r in group if r[ci] < row[ci])
+            smaller = bisect.bisect_left(vs, row[ci])
         ranks.append(check_int(c_start + smaller))
     return _with_int_columns(t, [(f"ord_{col}", ranks)], name)
 

@@ -613,7 +613,10 @@ class _Engine:
     def match_hypothesis(self, h: Hypothesis) -> Optional[Yield]:
         """First forward table (ascending depth) admitting an exact match.
         Past the last kept entry, the scan keeps more of the current depth."""
-        h_table = Table("h", self.task.output.schema, h.rows)
+        output = self.task.output
+        # h.rows is a subset of the checked output: its rows in output order.
+        h_table = Table._canonical("h", output.schema,
+                                   [r for r in output.rows if r in h.rows])
         # The list iterator ends at the entries kept so far; the stream then
         # yields each entry it appends.
         for entry in itertools.chain(self.entries, self.stream):

@@ -4,6 +4,12 @@ Tables are immutable, schema-typed sets of rows. Rows are kept in a canonical
 total order (per-cell ordering, identity tokens compared by label) so that
 iteration, hashing, and serialization are deterministic. Cell values are plain
 ``int`` and ``str`` plus the opaque :class:`Id` token; booleans are rejected.
+
+The public ``Table(...)`` checks every cell, removes duplicate rows and sorts
+them. ``Table._canonical`` only stores its rows. An operator may pass rows to
+it only when it derives them, in canonical order, from a checked table (a
+subsequence of its rows, nested pairs of two tables' rows, or its rows with
+cells appended), and it type-checks every cell it computes.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ def row_key(row: Sequence[Value]) -> tuple:
 class Schema:
     """Ordered list of (name, type) columns; lookup is by name."""
 
-    __slots__ = ("columns", "_index")
+    __slots__ = ("columns", "_index", "_hash")
 
     def __init__(self, columns: Iterable[tuple[str, ColumnType]]):
         cols = tuple((str(n), t) for n, t in columns)
@@ -87,6 +93,8 @@ class Schema:
                 raise SchemaError(f"bad column type {t!r}")
         self.columns = cols
         self._index = {n: i for i, (n, _) in enumerate(cols)}
+        # Every seen-table lookup hashes a schema; Enum.__hash__ is Python code.
+        self._hash = hash(cols)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -111,7 +119,7 @@ class Schema:
         return isinstance(other, Schema) and self.columns == other.columns
 
     def __hash__(self) -> int:
-        return hash(self.columns)
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}:{t}" for n, t in self.columns)
@@ -147,6 +155,18 @@ class Table:
         self.rows = tuple(sorted(checked, key=row_key))
         self._rowset = frozenset(self.rows)
 
+    @classmethod
+    def _canonical(cls, name: str, schema: Schema, rows: Iterable[tuple]) -> "Table":
+        """A table over ``rows`` stored as given. They must already be typed
+        for ``schema``, distinct and in canonical order (see the module
+        docstring for who may call this)."""
+        t = cls.__new__(cls)
+        t.name = str(name)
+        t.schema = schema
+        t.rows = tuple(rows)
+        t._rowset = frozenset(t.rows)
+        return t
+
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -173,7 +193,7 @@ class Table:
         return tuple(row[i] for row in self.rows)
 
     def renamed(self, name: str) -> "Table":
-        return Table(name, self.schema, self.rows)
+        return Table._canonical(name, self.schema, self.rows)
 
 
 # ---------------------------------------------------------------------------

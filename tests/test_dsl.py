@@ -4,6 +4,7 @@ oracles on the four-frame example."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tablesynth.dsl import (
     AGGREGATIONS,
@@ -36,6 +37,7 @@ from tablesynth.dsl import (
 from tablesynth.errors import IntRangeError, SchemaError, ValidationFailure
 from tablesynth.features import ExtractSpec, TokenClass, linear, substring, sum_feature
 from tablesynth.progtext import parse_feature
+from tablesynth.synth import Hypothesis, SynthTask, _atoms, _Engine
 from tablesynth.table import ColumnType, Id, Schema, Table
 
 from conftest import FRAME_SCHEMA, SHIFT
@@ -246,12 +248,20 @@ def test_operators_build_one_table_each(monkeypatch):
     t = Table("t", Schema([("g", INT), ("v", INT)]), [(1, 4), (1, 7), (2, 10)])
     built = []
     init = Table.__init__
+    canonical = Table._canonical
 
     def counting_init(self, name, schema, rows):
         built.append(name)
         init(self, name, schema, rows)
 
+    def counting_canonical(name, schema, rows):
+        built.append(name)
+        return canonical(name, schema, rows)
+
+    # Operators build checked tables or, from rows they derive from a
+    # checked table, unchecked ones: count both kinds.
     monkeypatch.setattr(Table, "__init__", counting_init)
+    monkeypatch.setattr(Table, "_canonical", staticmethod(counting_canonical))
     exec_groupjoin(t, "g", [("max", "v"), ("sum", "v")], "grouped")
     assert built == ["grouped"]
     built.clear()
@@ -274,6 +284,121 @@ def test_order_grouped_and_ties():
     ranks = {row[:2]: row[2] for row in o.rows}
     assert ranks[(1, 5)] == 0 and ranks[(1, 9)] == 1
     assert ranks[(2, 5)] == 0  # ties share the smallest rank
+
+
+# Random checked tables: an Id key, an Int or Str column, then up to two
+# Int (negatives included), Str or Id columns, all over small domains so that
+# values tie within and across groups.
+_CELLS = {INT: st.integers(-3, 3), STR: st.sampled_from(["", "a", "ab", "b"]),
+          ID: st.sampled_from([Id("x"), Id("y"), Id("z")])}
+
+
+@st.composite
+def _tables(draw, name="t"):
+    types = ([ID, draw(st.sampled_from([INT, STR]))]
+             + draw(st.lists(st.sampled_from([INT, STR, ID]), max_size=2)))
+    schema = Schema((f"c{i}", ty) for i, ty in enumerate(types))
+    rows = draw(st.lists(st.tuples(*(_CELLS[ty] for ty in types)), max_size=8))
+    return Table(name, schema, rows)
+
+
+@st.composite
+def _groupjoin_args(draw, t):
+    col_index = draw(st.sampled_from(t.schema.names))
+    aggs = []
+    for _ in range(draw(st.integers(1, 2))):
+        col, ty = draw(st.sampled_from(t.schema.columns))
+        aggs.append((draw(st.sampled_from(sorted(AGGREGATIONS)))
+                     if ty is INT else "cnt", col))
+    return col_index, aggs
+
+
+@st.composite
+def _order_args(draw, t):
+    col = draw(st.sampled_from([n for n, ty in t.schema.columns if ty is not ID]))
+    return (col, draw(st.integers(-5, 5)), draw(st.booleans()),
+            draw(st.sampled_from((None,) + t.schema.names)))
+
+
+def _groupjoin_by_rescan(t, col_index, aggs):
+    """GroupJoin's rows by definition: every row's aggregates over its group."""
+    gi = t.schema.index(col_index)
+    return tuple(
+        row + tuple(AGGREGATIONS[agg]([r[t.schema.index(col)] for r in t.rows
+                                       if r[gi] == row[gi]])
+                    for agg, col in aggs)
+        for row in t.rows)
+
+
+def _order_by_rescan(t, col, c_start, c_inv, col_index):
+    """Order's rows by definition: c_start plus the number of rows of the
+    same group whose value is smaller (larger when inverted)."""
+    ci = t.schema.index(col)
+    gi = t.schema.index(col_index) if col_index is not None else None
+    rows = []
+    for row in t.rows:
+        group = [r for r in t.rows if gi is None or r[gi] == row[gi]]
+        beats = (lambda r: r[ci] > row[ci]) if c_inv else (lambda r: r[ci] < row[ci])
+        rows.append(row + (c_start + sum(1 for r in group if beats(r)),))
+    return tuple(rows)
+
+
+@given(st.data())
+def test_groupjoin_and_order_match_their_definitions(data):
+    t = data.draw(_tables())
+    col_index, aggs = data.draw(_groupjoin_args(t))
+    assert exec_groupjoin(t, col_index, aggs).rows == _groupjoin_by_rescan(
+        t, col_index, aggs)
+    args = data.draw(_order_args(t))
+    assert exec_order(t, *args).rows == _order_by_rescan(t, *args)
+
+
+def _assert_canonical(out: Table):
+    checked = Table(out.name, out.schema, out.rows)
+    assert out.rows == checked.rows
+    assert out == checked and hash(out) == hash(checked)
+
+
+class _CapturingEngine(_Engine):
+    """Records each hypothesis table that matching builds, and matches none."""
+
+    def __init__(self, task):
+        super().__init__(task)
+        self.h_tables = []
+
+    def _surjections(self, t, h):
+        self.h_tables.append(h)
+        return iter(())
+
+
+@given(st.data())
+def test_tables_built_from_checked_rows_are_canonical(data):
+    t1 = data.draw(_tables("t1"))
+    t2 = data.draw(_tables("t2"))
+    predicate = data.draw(st.sampled_from(_atoms(t1.schema, [0, -1, "a"])))
+    _assert_canonical(exec_filter(t1, predicate))
+    _assert_canonical(exec_join(t1, t2, "c0", "c0"))
+    _assert_canonical(exec_groupjoin(t1, *data.draw(_groupjoin_args(t1))))
+    _assert_canonical(exec_order(t1, *data.draw(_order_args(t1))))
+    _assert_canonical(t1.renamed("u"))
+    # The hypothesis table: a subset of a checked output, in output order.
+    sig = ActionSignature("act", tuple(t1.schema.columns))
+    out = Table("to", sig.output_schema(), [("act",) + r for r in t1.rows])
+    rows = data.draw(st.sets(st.sampled_from(out.rows), min_size=1)
+                     if out.nrows else st.just(set()))
+    engine = _CapturingEngine(SynthTask((out.renamed("ti"),), out, sig))
+    engine.match_hypothesis(Hypothesis(frozenset(rows), 0, "full-table"))
+    [h] = engine.h_tables  # the input is scanned once; no table is kept
+    _assert_canonical(h)
+    assert set(h.rows) == rows
+
+
+@pytest.mark.parametrize("bad", [True, 1.5])
+def test_groupjoin_type_checks_the_cells_it_computes(monkeypatch, bad):
+    t = Table("t", Schema([("g", INT), ("v", INT)]), [(1, 4), (2, 7)])
+    monkeypatch.setitem(AGGREGATIONS, "max", lambda values: bad)
+    with pytest.raises(SchemaError):
+        exec_groupjoin(t, "g", [("max", "v")])
 
 
 def _running_program() -> Program:
