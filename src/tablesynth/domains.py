@@ -17,6 +17,7 @@ from typing import Optional
 
 from .dsl import ActionSignature, Program, exec_program
 from .errors import BenchmarkFormatError, TableSynthError
+from .progtext import NAME_RE
 from .table import ColumnType, Schema, Table, Value, table_from_json, value_from_json
 
 # ---------------------------------------------------------------------------
@@ -287,6 +288,12 @@ def benchmark_from_json(obj, path: Path) -> BenchmarkCase:
     except TableSynthError as exc:
         raise BenchmarkFormatError(f"{path}: {exc}") from None
 
+    for t in inputs + pending:
+        for name in (t.name, *t.schema.names):
+            if not NAME_RE.fullmatch(name):
+                raise BenchmarkFormatError(
+                    f"{path}: table {t.name!r}: the name {name!r} cannot be "
+                    f"written in program text")
     for t in inputs:
         if not domain.admits_table(t):
             raise BenchmarkFormatError(

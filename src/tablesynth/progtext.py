@@ -143,13 +143,16 @@ def format_program(program: Program) -> str:
 # ---------------------------------------------------------------------------
 # Tokenizer.
 
+#: A table or column name as program text spells it.
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<str>"(?:[^"\\]|\\.)*")
   | (?P<char>'[^']')
   | (?P<int>-?\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_.]*)
+  | (?P<name>""" + NAME_RE.pattern + r""")
   | (?P<punct>[()\[\]{},;=#:])
     """,
     re.VERBOSE,
@@ -172,6 +175,11 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 def _unquote(tok: str) -> str:
     return tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+
+
+#: Connectives a predicate may nest; far above the search's ``max_depth``,
+#: and far below what would exhaust the interpreter's recursion.
+_MAX_PREDICATE_NESTING = 100
 
 
 class _Parser:
@@ -279,17 +287,20 @@ class _Parser:
 
     # -- predicates ----------------------------------------------------------
 
-    def predicate(self) -> Predicate:
+    def predicate(self, nesting: int = 0) -> Predicate:
+        if nesting > _MAX_PREDICATE_NESTING:
+            raise ProgramParseError(f"predicate nested deeper than "
+                                    f"{_MAX_PREDICATE_NESTING} levels")
         head = self.take("name")
         self.take(value="(")
         if head == "not":
-            inner = self.predicate()
+            inner = self.predicate(nesting + 1)
             self.take(value=")")
             return Not(inner)
         if head in ("and", "or"):
-            left = self.predicate()
+            left = self.predicate(nesting + 1)
             self.take(value=",")
-            right = self.predicate()
+            right = self.predicate(nesting + 1)
             self.take(value=")")
             return And(left, right) if head == "and" else Or(left, right)
         symbol = _TEXT_SYMBOL.get(head)

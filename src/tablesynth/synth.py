@@ -234,10 +234,11 @@ def _rank(h: Hypothesis) -> tuple:
 class HypothesisGenerator:
     """Prioritized, bounded queue of sub-tables of the output example.
 
-    Candidates: the full example; per-column constant-signature groups;
-    maximal consecutive-integer runs per Int column; concat-feasible groups
-    per Str column; pairwise intersections; complements of everything; plus
-    the full power set when the example is small enough, ranked by ``_rank``.
+    The pool holds the full example; per column, the rows sharing each
+    value; per Int column with distinct values, each maximal run of two or
+    more consecutive integers; the complement of each of these; and, for an
+    example of at most ``POWERSET_ROWS`` rows, every proper non-empty
+    subset. It is ranked by ``_rank``.
     """
 
     def __init__(self, output: Table, inputs: Sequence[Table],
@@ -261,13 +262,6 @@ class HypothesisGenerator:
             if ty is ColumnType.INT:
                 for run in self._consecutive_runs(j):
                     add(run, "signature-group")
-            if ty is ColumnType.STR:
-                feasible = [r for r in output.rows
-                            if _concat_feasible(r[j], self.inputs)]
-                add(frozenset(feasible), "signature-group")
-        base = list(pool)
-        for a, b in itertools.combinations(base, 2):
-            add(a & b, "signature-group")
         for c in list(pool):
             add(self.all_rows - c, "complement")
         if output.nrows <= POWERSET_ROWS:
@@ -557,23 +551,22 @@ class _Engine:
                    if all(any(trow[c] == hrow[j] for c in t_id) for j in h_id)]
                   for trow in t.rows]
         budget = SURJECTION_NODE_CAP  # one unit per node entered
-
-        def rec(assignment: tuple, covered: frozenset):
-            nonlocal budget
-            if budget <= 0:
-                return
+        # Depth-first, one stack entry per node: (rows of t assigned, the
+        # last row's h row, h rows covered). Children are pushed last-first
+        # so they are entered in order; path[1:k + 1] is the assignment of
+        # the node entered at k, path[0] the root's None.
+        path: list = []
+        stack = [(0, None, frozenset())]
+        while stack and budget > 0:
             budget -= 1
-            k = len(assignment)
+            k, i, covered = stack.pop()
+            path[k:] = [i]
             if k == t.nrows:
                 if len(covered) == nh:
-                    yield assignment
-                return
-            if nh - len(covered) > t.nrows - k:
-                return
-            for i in compat[k]:
-                yield from rec(assignment + (i,), covered | {i})
-
-        yield from rec((), frozenset())
+                    yield tuple(path[1:])
+            elif nh - len(covered) <= t.nrows - k:
+                stack.extend((k + 1, c, covered | {c})
+                             for c in reversed(compat[k]))
 
     def _solve_columns(self, t: Table, h: Table,
                        r: tuple[int, ...]) -> Optional[tuple[Projection, ...]]:

@@ -150,6 +150,21 @@ def test_exec_bad_file_exits_1_without_traceback(tmp_path, program, tables):
     assert proc.stderr.startswith("error: ")
 
 
+def test_exec_deeply_nested_predicate_exits_1_without_traceback(tmp_path):
+    prog_path = tmp_path / "deep.prog"
+    predicate = "not(" * 1000 + "isOdd(frame)" + ")" * 1000
+    prog_path.write_text(f"t1 = Filter(ti, {predicate});\n"
+                         'Yield("shift", t1, id, "GB", frame, frame);\n')
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tablesynth.cli", "exec", str(prog_path),
+         str(BENCHMARKS / "gif" / "running-example.json")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("program, where", [
     ('Yield("act", t, linear(1,0)(a, b), s);', "yield 0 arg "),
     ('Yield("act", t, sum(0)(a), s);', "yield 0 arg "),

@@ -103,8 +103,8 @@ def test_inline_domain_spec():
     assert case.action.name == "shift"
 
 
-def _broken(tmp_path, mutate):
-    src = json.loads((BENCHMARKS / "file" / "delete-pdf.json").read_text())
+def _broken(tmp_path, mutate, case="file/delete-pdf.json"):
+    src = json.loads((BENCHMARKS / case).read_text())
     mutate(src)
     p = tmp_path / "broken.json"
     p.write_text(json.dumps(src))
@@ -116,6 +116,31 @@ def test_load_rejects_unknown_entity(tmp_path):
         src["inputs"][0]["columns"][0]["name"] = "mystery"
     with pytest.raises(BenchmarkFormatError):
         load_benchmark(_broken(tmp_path, mutate))
+
+
+def _rename_table(src, new):
+    for t in src["inputs"] + src["pending"]:
+        t["name"] = new
+
+
+def _rename_column(src, new):
+    src["domain_spec"]["entities"][0]["fields"][1]["name"] = new
+    for t in src["inputs"] + src["pending"]:
+        t["columns"][1]["name"] = new
+
+
+@pytest.mark.parametrize("rename, bad", [(_rename_table, "my frames"),
+                                         (_rename_column, "frame no"),
+                                         (_rename_column, "2nd")])
+def test_load_rejects_names_program_text_cannot_spell(tmp_path, rename, bad):
+    # A program over such a table would print, and then not parse back.
+    p = _broken(tmp_path, lambda src: rename(src, bad), "gif/running-example.json")
+    with pytest.raises(BenchmarkFormatError, match=repr(bad)):
+        load_benchmark(p)
+    good = _broken(tmp_path, lambda src: rename(src, "my_frames.v2"),
+                   "gif/running-example.json")
+    (t,) = load_benchmark(good).inputs
+    assert "my_frames.v2" in (t.name, *t.schema.names)
 
 
 def test_load_rejects_pending_schema_mismatch(tmp_path):

@@ -168,3 +168,13 @@ def test_parse_rejects_garbage():
             parse_program(text)
     with pytest.raises(ProgramParseError):
         parse_predicate("strEq(tag, id")
+
+
+def test_parse_bounds_predicate_nesting():
+    leaf = "isOdd(frame)"
+    at_limit = "and(" * 50 + "not(" * 50 + leaf + ")" * 50 + ", isEven(frame))" * 50
+    assert format_predicate(parse_predicate(at_limit)) == at_limit
+    for past in ("not(" * 101 + leaf + ")" * 101,
+                 "or(" + at_limit + ", " + leaf + ")"):
+        with pytest.raises(ProgramParseError, match="nested deeper than 100"):
+            parse_predicate(past)

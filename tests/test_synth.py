@@ -138,6 +138,25 @@ def test_hypothesis_queue_pinned_with_rank_updates(shift_out, frames_in):
     ]
 
 
+def test_consecutive_runs_decide_a_sweep_task():
+    # Draw 116 of the depth-1 sweep splits ``num`` at 10. The first match is
+    # the complement of the consecutive run num = 4, 5 (the rows below 10);
+    # without the runs the search ends exhausted.
+    rng = random.Random(404)
+    for _ in range(117):
+        task, _ = random_task(rng, SynthSettings(max_depth=1))
+    result = synthesize(task)
+    stats = result.stats
+    assert result.status == "solved"
+    assert (stats.forward_tables, stats.hypotheses_tried,
+            stats.matches_solved) == (91, 11, 2)
+    assert format_program(result.program) == (
+        "t8 = Filter(items, intLt(num, 10));\n"
+        "t11 = Filter(items, intGeq(num, 10));\n"
+        'Yield("act", t11, id, num, num);\n'
+        'Yield("act", t8, id, num, linear(2,-18)(num));\n')
+
+
 # -- row surjections ---------------------------------------------------------
 
 def _engine(frames_in, shift_out) -> _Engine:
@@ -205,6 +224,20 @@ def test_blind_surjections_stop_at_the_node_cap():
     assert len(maps) == 12541
     assert maps[0] == (0, 0, 0, 0, 0, 0, 0, 0, 1, 2)
     assert maps[-1] == (0, 2, 0, 0, 0, 2, 1, 2, 0, 2)
+
+
+def test_blind_surjections_do_not_recurse_per_row():
+    # No Id column, so each of the 1000 rows may map to any of the 4
+    # hypothesis rows: a search 1000 rows deep, past the recursion limit.
+    t = Table("t", Schema([("a", INT), ("s", STR)]),
+              [(a, "xy"[a % 2]) for a in range(1000)])
+    act = ActionSignature("fill", (("content", STR), ("row", INT)))
+    h = Table("h", act.output_schema(),
+              [("fill", c, r) for c in "xy" for r in (0, 1)])
+    maps = list(_Engine(SynthTask((t,), h, act))._surjections(t, h))
+    assert len(maps) == 9217
+    assert maps[0] == (0,) * 996 + (0, 1, 2, 3)
+    assert maps[-1] == (0,) * 988 + (0, 0, 0, 0, 0, 3, 2, 1, 2, 3, 2, 2)
 
 
 # -- end-to-end --------------------------------------------------------------
