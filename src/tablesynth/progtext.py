@@ -146,11 +146,13 @@ def format_program(program: Program) -> str:
 #: A table or column name as program text spells it.
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
+#: A ``char`` is a Punct token class: any one character between apostrophes,
+#: an apostrophe included (``'''``).
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<str>"(?:[^"\\]|\\.)*")
-  | (?P<char>'[^']')
+  | (?P<char>'[\s\S]')
   | (?P<int>-?\d+)
   | (?P<name>""" + NAME_RE.pattern + r""")
   | (?P<punct>[()\[\]{},;=#:])

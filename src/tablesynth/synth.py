@@ -81,8 +81,6 @@ CONCAT_MAX_INPUTS = 2
 #: Sub-table pools are augmented with the full power set when the output
 #: example is at most this many rows; keeps small examples complete.
 POWERSET_ROWS = 6
-#: Search nodes spent enumerating unanchored row surjections per table pair.
-SURJECTION_NODE_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -291,17 +289,13 @@ class HypothesisGenerator:
 
     def update_rank(self, matched: Hypothesis):
         complement = self.all_rows - matched.rows
-        rest = [h for h in self.queue if h.rows != complement]
-        kept = [h for h in rest if not h.rows < matched.rows]
-        demoted = [h for h in rest if h.rows < matched.rows]
-        front = []
+        self.queue = [h for h in self.queue if h.rows != complement]
         if complement:
-            front = [Hypothesis(
+            self.queue.insert(0, Hypothesis(
                 complement,
                 score_subtable(complement, self.output.schema, self.inputs),
                 "complement",
-            )]
-        self.queue = front + kept + demoted
+            ))
 
 
 class _SubsetSource:
@@ -499,74 +493,35 @@ class _Engine:
     def _surjections(self, t: Table, h: Table) -> Iterator[tuple[int, ...]]:
         """Candidate row surjections t-rows -> h-rows.
 
-        A column of h whose values are pairwise distinct identifies the row
-        map: each candidate comes from reading that column out of some
-        type-compatible concrete column of t (Id anchors are the special
-        case). When such a column exists only anchored candidates are tried;
-        blind enumeration is reserved for hypotheses without one.
+        A one-row h takes every row of t. Otherwise a column of h whose
+        values are pairwise distinct identifies the row map: each candidate
+        is that column read out of a type-compatible column of t (Id anchors
+        are the special case), with every row of h reached. An h of two or
+        more rows without such a column has no candidate; its rows are left
+        to smaller hypotheses (value groups, complements, the power set).
         """
         if h.nrows == 1:
             yield (0,) * t.nrows
             return
-        identifying = []
+        seen = set()
         for j, (_, ty_j) in enumerate(h.schema.columns):
             index = {row[j]: i for i, row in enumerate(h.rows)}
-            if len(index) == h.nrows:
-                identifying.append((ty_j, index))
-        if identifying:
-            seen = set()
-            for ty_j, index in identifying:
-                for c, (_, tty) in enumerate(t.schema.columns):
-                    if tty is not ty_j:
-                        continue
-                    r = []
-                    for trow in t.rows:
-                        i = index.get(trow[c])
-                        if i is None:
-                            break
-                        r.append(i)
-                    else:
-                        rt = tuple(r)
-                        if len(set(rt)) == h.nrows and rt not in seen:
-                            seen.add(rt)
-                            yield rt
-            return
-        yield from self._enumerate_surjections(t, h)
-
-    def _enumerate_surjections(self, t, h):
-        nh = h.nrows
-        # A non-Id column of h comes from a constant, or from a column of t
-        # of its type through a projection or a feature, whatever the row
-        # pair; only an Id column constrains which t row maps to which h row.
-        t_types = {ty for _, ty in t.schema.columns}
-        t_id = [i for i, (_, ty) in enumerate(t.schema.columns)
-                if ty is ColumnType.ID]
-        h_id = []
-        for j, (_, ty) in enumerate(h.schema.columns):
-            if ty is ColumnType.ID:
-                h_id.append(j)
-            elif ty not in t_types and len({r[j] for r in h.rows}) > 1:
-                return
-        compat = [[i for i, hrow in enumerate(h.rows)
-                   if all(any(trow[c] == hrow[j] for c in t_id) for j in h_id)]
-                  for trow in t.rows]
-        budget = SURJECTION_NODE_CAP  # one unit per node entered
-        # Depth-first, one stack entry per node: (rows of t assigned, the
-        # last row's h row, h rows covered). Children are pushed last-first
-        # so they are entered in order; path[1:k + 1] is the assignment of
-        # the node entered at k, path[0] the root's None.
-        path: list = []
-        stack = [(0, None, frozenset())]
-        while stack and budget > 0:
-            budget -= 1
-            k, i, covered = stack.pop()
-            path[k:] = [i]
-            if k == t.nrows:
-                if len(covered) == nh:
-                    yield tuple(path[1:])
-            elif nh - len(covered) <= t.nrows - k:
-                stack.extend((k + 1, c, covered | {c})
-                             for c in reversed(compat[k]))
+            if len(index) < h.nrows:
+                continue
+            for c, (_, tty) in enumerate(t.schema.columns):
+                if tty is not ty_j:
+                    continue
+                r = []
+                for trow in t.rows:
+                    i = index.get(trow[c])
+                    if i is None:
+                        break
+                    r.append(i)
+                else:
+                    rt = tuple(r)
+                    if len(set(rt)) == h.nrows and rt not in seen:
+                        seen.add(rt)
+                        yield rt
 
     def _solve_columns(self, t: Table, h: Table,
                        r: tuple[int, ...]) -> Optional[tuple[Projection, ...]]:

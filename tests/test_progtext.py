@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import string
+
 import pytest
 
 from tablesynth.dsl import (
     PREDICATE_SYMBOLS,
+    ActionSignature,
     ColP,
     ConstP,
     Filter,
@@ -18,6 +21,7 @@ from tablesynth.dsl import (
     Program,
     SymbolApp,
     Yield,
+    exec_program,
 )
 from tablesynth.errors import ProgramParseError
 from tablesynth.features import (
@@ -42,7 +46,8 @@ from tablesynth.progtext import (
     parse_predicate,
     parse_program,
 )
-from tablesynth.table import ColumnType
+from tablesynth.synth import SynthTask, synthesize
+from tablesynth.table import ColumnType, Id, Schema, Table
 
 RUNNING_TEXT = """t1 = Filter(ti, isOdd(frame));
 t2 = Filter(ti, isEven(frame));
@@ -149,6 +154,38 @@ def test_every_feature_family_round_trips(family):
     text = format_program(prog)
     assert parse_program(text) == prog
     assert format_program(parse_program(text)) == text
+
+
+@pytest.mark.parametrize("char", [*string.punctuation, "\n", "\r"],
+                         ids=lambda c: f"{ord(c):#04x}")
+def test_every_punct_char_round_trips(char):
+    spec = ExtractSpec((TokenClass("Alnum"), TokenClass("Punct", char),
+                        TokenClass("Alnum")), 1)
+    for f in (substring(spec),
+              concat(ConcatProgram((ExtractSegment(0, spec),
+                                    LiteralSegment(char))))):
+        assert parse_feature(format_feature(f)) == f
+        prog = Program((), (Yield("t", (ConstP("act"), MutateP(f, ("s",)))),))
+        text = format_program(prog)
+        assert parse_program(text) == prog
+        assert format_program(parse_program(text)) == text
+
+
+def test_synthesized_apostrophe_spec_parses_and_runs():
+    files = Table("files", Schema([("id", ColumnType.ID), ("name", ColumnType.STR)]),
+                  [(Id(f"f{i}"), n) for i, n in
+                   enumerate(["bob's.txt", "amy's.pdf", "joe's.csv"])])
+    rename = ActionSignature("rename", (("id", ColumnType.ID),
+                                        ("newname", ColumnType.STR)))
+    out = Table("out", rename.output_schema(),
+                [("rename", Id(f"f{i}"), n) for i, n in
+                 enumerate(["bob's", "amy's", "joe's"])])
+    result = synthesize(SynthTask((files,), out, rename))
+    assert result.status == "solved"
+    text = format_program(result.program)
+    assert text == ('Yield("rename", files, id, '
+                    "substring{Alnum'''Alnum#1}(name));\n")
+    assert exec_program(parse_program(text), [files], rename) == out
 
 
 def test_parse_rejects_garbage():

@@ -1,8 +1,12 @@
-"""Repository tooling: the corpus generator reproduces the shipped corpus."""
+"""Repository tooling: the corpus generator reproduces the shipped corpus,
+and the task-record printer gives one stable record per workload task."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
+import sys
 
 from conftest import BENCHMARKS, ROOT
 
@@ -22,3 +26,20 @@ def test_gen_benchmarks_regenerates_corpus(tmp_path, monkeypatch, capsys):
     assert generated == committed
     for rel in committed:
         assert (tmp_path / rel).read_bytes() == (BENCHMARKS / rel).read_bytes(), rel
+
+
+def test_task_records_of_the_corpus():
+    cmd = [sys.executable, str(ROOT / "tools" / "task_records.py"),
+           "--seed", "404", "--workload", "corpus"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    records = [json.loads(line) for line in runs[0].splitlines()]
+    programs = {str(p.relative_to(BENCHMARKS).with_suffix("")): p.read_text()
+                for p in BENCHMARKS.rglob("*.prog")}
+    assert [r["id"] for r in records] == sorted(programs)
+    for r in records:
+        assert set(r) == {"id", "status", "program", "forward_tables",
+                          "hypotheses_tried", "matches_solved", "generalized"}
+        assert r["status"] == "solved" and r["generalized"] is True
+        assert r["program"] == programs[r["id"]]
