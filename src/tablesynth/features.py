@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import FeatureMissError, SchemaError
+from .errors import FeatureMissError, IntRangeError, SchemaError
 from .table import ColumnType, Value, check_int
 
 
@@ -278,6 +278,15 @@ MAX_LITERAL_LEN = 20
 # Integer solvers.
 
 
+def _fits(inst: FeatureInstance, cases: Sequence[tuple[int, ...]]) -> bool:
+    """Whether ``inst`` maps each case's inputs to its last item; a value
+    outside the 64-bit range is a misfit."""
+    try:
+        return all(apply_feature(inst, c[:-1]) == c[-1] for c in cases)
+    except IntRangeError:
+        return False
+
+
 def solve_linear(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
     """Fit y = a*x + b with integer a, b; requires two distinct x values."""
     distinct = {}
@@ -295,9 +304,7 @@ def solve_linear(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
     a = (y2 - y1) // (x2 - x1)
     b = y1 - a * x1
     inst = linear(a, b)
-    if all(apply_feature(inst, (x,)) == y for x, y in pairs):
-        return inst
-    return None
+    return inst if _fits(inst, pairs) else None
 
 
 def solve_sum(triples: Sequence[tuple[int, int, int]]) -> Optional[FeatureInstance]:
@@ -307,9 +314,7 @@ def solve_sum(triples: Sequence[tuple[int, int, int]]) -> Optional[FeatureInstan
     x0, y0, out0 = triples[0]
     b = out0 - x0 - y0
     inst = sum_feature(b)
-    if all(apply_feature(inst, (x, y)) == out for x, y, out in triples):
-        return inst
-    return None
+    return inst if _fits(inst, triples) else None
 
 
 def solve_div(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
@@ -341,7 +346,7 @@ def solve_mod(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
         for b1 in range(d):
             b2 = y1 - (x1 + b1) % d
             inst = mod(b1, b2, d)
-            if all(apply_feature(inst, (x,)) == y for x, y in pairs):
+            if _fits(inst, pairs):
                 return inst
     return None
 

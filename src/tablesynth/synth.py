@@ -173,35 +173,20 @@ class _Deadline:
 
 
 def _concat_feasible(value: str, inputs: Sequence[Table]) -> bool:
-    """Greedy longest-match coverage of ``value`` by substrings of the string
-    fields of some single input row."""
-    if not value:
-        return False
-    for t in inputs:
-        str_idx = [i for i, (_, ty) in enumerate(t.schema.columns)
-                   if ty is ColumnType.STR]
-        if not str_idx:
-            continue
-        for row in t.rows:
-            fields = [row[i] for i in str_idx]
-            pos = 0
-            while pos < len(value):
-                # Every prefix of a field's substring is one too, so the
-                # longest covered piece ends just before the first miss.
-                end = pos
-                while end < len(value) and any(value[pos:end + 1] in f
-                                               for f in fields):
-                    end += 1
-                if end == pos:
-                    break
-                pos = end
-            if pos == len(value):
-                return True
-    return False
+    """Whether ``value`` is a concat of substrings of the Str fields of one
+    input row: it is non-empty and each of its characters is in them."""
+    needed = set(value)
+    return bool(needed) and any(
+        needed.issubset("".join(fields)) for t in inputs
+        for fields in zip(*(t.column(n) for n, ty in t.schema.columns
+                            if ty is ColumnType.STR)))
 
 
 def score_subtable(rows: Sequence, schema: Schema, inputs: Sequence[Table]) -> int:
-    """S(t) = sum over columns of (const + ordered + concat terms) x row count."""
+    """S(t) = sum over columns of (const + ordered + concat terms) x row count.
+
+    A Str column earns the concat term when each of its values is non-empty
+    and has all its characters in the Str fields of one input row."""
     rows = list(rows)
     if not rows:
         return 0
@@ -662,7 +647,7 @@ class _Engine:
                     matched.append((stmt, h))
                     source.update_rank(h)
                     cover = self.assemble_mapping(matched)
-                    if cover is not None:
+                    if cover:  # an empty output's empty cover is no program
                         program = self.assemble_program(cover)
                         return self._finish("solved", program, start)
                 self.expand()

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -86,7 +87,7 @@ def test_exec_reference_program(capsys):
     assert code == EXIT_SOLVED
     assert json.loads(out)["name"] == "out"
     table = table_from_json(json.loads(out))
-    case = json.loads(open(WRAP).read())
+    case = json.loads(Path(WRAP).read_text())
     assert table == table_from_json(case["output"]).renamed(table.name)
 
 
@@ -94,13 +95,13 @@ def test_exec_pending(capsys):
     code = main(["exec", WRAP_PROG, WRAP, "--pending"])
     out, _ = capsys.readouterr()
     assert code == EXIT_SOLVED
-    case = json.loads(open(WRAP).read())
+    case = json.loads(Path(WRAP).read_text())
     expected = table_from_json(case["expected"])
     assert table_from_json(json.loads(out)) == expected.renamed("out")
 
 
 def test_exec_tables_file(tmp_path, capsys):
-    case = json.loads(open(WRAP).read())
+    case = json.loads(Path(WRAP).read_text())
     tables = {
         "action": {"name": "wrap",
                    "args": [{"name": "element", "type": "Id"},
@@ -200,12 +201,12 @@ def test_bench_report_matches_schema(capsys, tmp_path):
     sub.mkdir()
     for suffix in (".json", ".prog"):
         (sub / ("wrap-items" + suffix)).write_text(
-            open(str(BENCHMARKS / "xml" / ("wrap-items" + suffix))).read())
+            (BENCHMARKS / "xml" / ("wrap-items" + suffix)).read_text())
     code = main(["bench", str(tmp_path)])
     out, _ = capsys.readouterr()
     assert code == EXIT_SOLVED
     payload = json.loads(out.split("\n\n")[0])
-    schema = json.loads(open(SCHEMAS / "run_report.schema.json").read())
+    schema = json.loads((SCHEMAS / "run_report.schema.json").read_text())
     jsonschema.validate(payload, schema)
     (report,) = payload["reports"]
     assert report["solved"] == report["total"] == 1
@@ -219,7 +220,7 @@ def test_bench_regression_failure_exit(capsys, tmp_path):
     sub.mkdir()
     for suffix in (".json", ".prog"):
         (sub / ("wrap-items" + suffix)).write_text(
-            open(str(BENCHMARKS / "xml" / ("wrap-items" + suffix))).read())
+            (BENCHMARKS / "xml" / ("wrap-items" + suffix)).read_text())
     code = main(["bench", str(tmp_path), "--max-depth", "0"])
     out, _ = capsys.readouterr()
     assert code == EXIT_ERROR

@@ -133,6 +133,8 @@ def test_solve_linear_worked_example():
     assert solve_linear([(1, 0), (2, 1), (3, 9)]) is None
     assert solve_linear([(1, 5)]) is None  # one distinct x is ambiguous
     assert solve_linear([(2, 5), (4, 10)]) is None  # non-integer slope
+    # a = 2**62 fits the first two pairs; 3 * 2**62 is out of range.
+    assert solve_linear([(0, 0), (1, 2**62), (3, 0)]) is None
 
 
 def test_solve_div_worked_example():
@@ -147,11 +149,14 @@ def test_solve_mod_worked_example():
     assert f is not None
     assert all(apply_feature(f, (x,)) == x % 2 for x in range(1, 5))
     assert solve_mod([(1, 1), (2, 50)]) is None
+    # d = 2, b1 = 0 gives b2 = 2**63 - 1, so x = 1 maps out of range.
+    assert solve_mod([(0, 2**63 - 1), (1, 0)]) is None
 
 
 def test_solve_sum_worked_example():
     assert solve_sum([(10, 5, 13), (2, 2, 2)]) == sum_feature(-2)
     assert solve_sum([(1, 1, 3), (2, 2, 2)]) is None
+    assert solve_sum([(0, 0, 0), (2**62, 2**62, 0)]) is None  # out of range
 
 
 def test_solve_substring_prefers_alnum():

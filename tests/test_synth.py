@@ -4,10 +4,12 @@ candidates, and end-to-end synthesis on the worked example."""
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import weakref
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tablesynth.domains import load_benchmark
 from tablesynth.dsl import ActionSignature, exec_program
@@ -18,6 +20,7 @@ from tablesynth.synth import (
     HypothesisGenerator,
     SynthSettings,
     SynthTask,
+    _concat_feasible,
     _Engine,
     generate_hypotheses,
     score_subtable,
@@ -80,6 +83,51 @@ def test_score_concat_coverage():
     inp = Table("i", Schema([("name", STR)]), [("tiktok.jpg",)])
     assert score_subtable([("tiktok",)], s, [inp]) == 2  # const + concat
     assert score_subtable([("zzz",)], s, [inp]) == 1  # const only
+    # Characters spread over two rows: no single row composes the value.
+    rows = Table("i", Schema([("name", STR)]), [("ab",), ("cd",)])
+    assert score_subtable([("ac",)], s, [rows]) == 1
+    # Characters spread over two fields of one row: one row composes it.
+    fields = Table("i", Schema([("first", STR), ("n", INT), ("last", STR)]),
+                   [("ab", 0, "cd")])
+    assert score_subtable([("ac",)], s, [fields]) == 2
+    # The empty string is composed of nothing.
+    assert score_subtable([("",)], s, [inp]) == 1
+
+
+def _pieces_reference(value, inputs):
+    """Brute force: some cut of ``value`` into pieces, each a substring of
+    a Str field of one input row."""
+    n = len(value)
+    for t in inputs:
+        for row in t.rows:
+            fields = [v for v, (_, ty) in zip(row, t.schema.columns)
+                      if ty is STR]
+            for k in range(n):
+                for cuts in itertools.combinations(range(1, n), k):
+                    ends = (0, *cuts, n)
+                    if all(any(value[a:b] in f for f in fields)
+                           for a, b in zip(ends, ends[1:])):
+                        return True
+    return False
+
+
+@st.composite
+def _input_tables(draw):
+    cells = {INT: st.integers(0, 3), STR: st.text("abc", max_size=3)}
+    tables = []
+    for k in range(draw(st.integers(0, 3))):
+        types = draw(st.lists(st.sampled_from([INT, STR]),
+                              min_size=1, max_size=3))
+        rows = draw(st.lists(st.tuples(*(cells[ty] for ty in types)),
+                             max_size=4))
+        schema = Schema([(f"c{j}", ty) for j, ty in enumerate(types)])
+        tables.append(Table(f"i{k}", schema, rows))
+    return tables
+
+
+@given(st.text("abcd", max_size=6), _input_tables())
+def test_concat_feasible_matches_brute_force(value, inputs):
+    assert _concat_feasible(value, inputs) == _pieces_reference(value, inputs)
 
 
 def test_score_empty():
@@ -234,6 +282,27 @@ def test_synthesize_running_example(frames_in, shift_out):
     assert stats["elapsed_ms"] >= 0
     assert stats["forward_tables"] > 0
     assert stats["hypotheses_tried"] >= stats["matches_solved"] >= 2
+
+
+def test_synthesize_out_of_range_fit_is_not_a_match():
+    # linear(2**62, 0) fits the first two rows and leaves the 64-bit range
+    # on the third; the search drops it and matches smaller hypotheses.
+    t = Table("t", Schema([("id", ID), ("x", INT)]),
+              [(Id(f"r{i}"), x) for i, x in enumerate([0, 1, 3])])
+    act = ActionSignature("act", (("id", ID), ("y", INT)))
+    out = Table("out", act.output_schema(),
+                [("act", Id(f"r{i}"), y) for i, y in enumerate([0, 2**62, 0])])
+    result = synthesize(SynthTask((t,), out, act))
+    assert result.status == "solved"
+    assert exec_program(result.program, [t], act) == out
+
+
+def test_synthesize_empty_output_is_exhausted():
+    # The empty hypothesis matches, but its empty cover is no program.
+    t = Table("t", Schema([("id", ID), ("x", INT)]), [])
+    act = ActionSignature("act", (("id", ID), ("y", INT)))
+    out = Table("out", act.output_schema(), [])
+    assert synthesize(SynthTask((t,), out, act)).status == "exhausted"
 
 
 def test_synthesize_respects_timeout(frames_in, shift_out):
