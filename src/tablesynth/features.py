@@ -363,34 +363,37 @@ def _token_classes(texts: Sequence[str]) -> list[TokenClass]:
 
 def _extractions(classes: Sequence[TokenClass], texts: Sequence[str]):
     """Yield ``(spec, [extract(spec, t) for t in texts])`` for every extract
-    spec that matches on every text: fewer tokens first, then occurrence
-    order 1, 2, ..., then -1, -2, ... Each token sequence scans each text
-    once. Adjacent equal tokens can never match a maximal-run sequence and
-    are skipped."""
+    spec that matches on every text: fewer tokens first, then token
+    sequences in ``classes`` order by prefix, then occurrence order 1, 2,
+    ..., then -1, -2, ... Adjacent equal tokens can never match a
+    maximal-run sequence and are skipped.
+
+    A match of ``(t1..tL)`` starts with a match of ``(t1..tL-1)`` at the
+    same position, so a sequence with no match on some text has no
+    extension with one. Length L is grown only from the length L-1
+    sequences that matched on every text; each of those scans each text
+    once."""
     occs = list(range(1, MAX_OCCURRENCE + 1)) + [
         -k for k in range(1, MAX_OCCURRENCE + 1)
     ]
-
-    def sequences(length: int):
-        if length == 1:
+    live = [()]
+    for _ in range(MAX_TOKENS):
+        grown = []
+        for prefix in live:
             for c in classes:
-                yield (c,)
-            return
-        for prefix in sequences(length - 1):
-            for c in classes:
-                if c != prefix[-1]:
-                    yield prefix + (c,)
-
-    for length in range(1, MAX_TOKENS + 1):
-        for tokens in sequences(length):
-            pattern = _compiled(tokens)
-            found = [pattern.findall(t) for t in texts]
-            if not all(found):
-                continue
-            for occ in occs:
-                results = [_pick(matches, occ) for matches in found]
-                if None not in results:
-                    yield ExtractSpec(tokens, occ), results
+                if prefix and c == prefix[-1]:
+                    continue
+                tokens = prefix + (c,)
+                pattern = _compiled(tokens)
+                found = [pattern.findall(t) for t in texts]
+                if not all(found):
+                    continue
+                grown.append(tokens)
+                for occ in occs:
+                    results = [_pick(matches, occ) for matches in found]
+                    if None not in results:
+                        yield ExtractSpec(tokens, occ), results
+        live = grown
 
 
 def solve_substring(pairs: Sequence[tuple[str, str]]) -> Optional[FeatureInstance]:

@@ -172,24 +172,31 @@ class _Deadline:
 # Consistency score (per-column constant / consecutive-run / concat terms).
 
 
-def _concat_feasible(value: str, inputs: Sequence[Table]) -> bool:
+def _row_chars(inputs: Sequence[Table]) -> list[set]:
+    """Per input row, the set of characters of its Str fields."""
+    return [set("".join(fields)) for t in inputs
+            for fields in zip(*(t.column(n) for n, ty in t.schema.columns
+                                if ty is ColumnType.STR))]
+
+
+def _concat_feasible(value: str, row_chars: Sequence[set]) -> bool:
     """Whether ``value`` is a concat of substrings of the Str fields of one
-    input row: it is non-empty and each of its characters is in them."""
+    input row, given each row's characters (``_row_chars``): it is non-empty
+    and each of its characters is in them."""
     needed = set(value)
-    return bool(needed) and any(
-        needed.issubset("".join(fields)) for t in inputs
-        for fields in zip(*(t.column(n) for n, ty in t.schema.columns
-                            if ty is ColumnType.STR)))
+    return bool(needed) and any(needed <= chars for chars in row_chars)
 
 
 def score_subtable(rows: Sequence, schema: Schema, inputs: Sequence[Table]) -> int:
     """S(t) = sum over columns of (const + ordered + concat terms) x row count.
 
     A Str column earns the concat term when each of its values is non-empty
-    and has all its characters in the Str fields of one input row."""
+    and has all its characters in the Str fields of one input row. The
+    input rows' characters are collected once per call."""
     rows = list(rows)
     if not rows:
         return 0
+    row_chars = _row_chars(inputs)
     per_col = 0
     for j, (_, ty) in enumerate(schema.columns):
         vals = [r[j] for r in rows]
@@ -200,7 +207,7 @@ def score_subtable(rows: Sequence, schema: Schema, inputs: Sequence[Table]) -> i
             if all(b - a == 1 for a, b in zip(s, s[1:])):
                 per_col += 1
         if ty is ColumnType.STR:
-            if all(_concat_feasible(v, inputs) for v in vals):
+            if all(_concat_feasible(v, row_chars) for v in vals):
                 per_col += 1
     return per_col * len(rows)
 
@@ -578,20 +585,7 @@ class _Engine:
         first: dict[frozenset, Yield] = {}  # per row set, its best-ranked match
         for stmt, h in sorted(matched, key=lambda m: _rank(m[1])):
             first.setdefault(h.rows, stmt)
-        items = list(first.items())
-
-        def rec(start, remaining) -> Optional[list[Yield]]:
-            if not remaining:
-                return []
-            for k in range(start, len(items)):
-                rows, stmt = items[k]
-                if rows <= remaining:
-                    rest = rec(k + 1, remaining - rows)
-                    if rest is not None:
-                        return [stmt] + rest
-            return None
-
-        return rec(0, frozenset(self.task.output.rows))
+        return _cover(list(first.items()), 0, frozenset(self.task.output.rows))
 
     def assemble_program(self, mapping: Sequence[Yield]) -> Program:
         needed: set[str] = set()
@@ -633,7 +627,11 @@ class _Engine:
         matched: list[tuple[Yield, Hypothesis]] = []
         try:
             max_depth = self.settings.max_depth
-            depths = range(1, max_depth + 1) if max_depth > 0 else [0]
+            # Kept tables are non-empty and a Yield over a non-empty table
+            # yields rows, so an empty output is matched against the inputs
+            # only.
+            depths = (range(1, max_depth + 1)
+                      if max_depth > 0 and self.task.output.nrows else [0])
             for d in depths:
                 if d > 0:
                     self.stream = self._keep(d)
@@ -662,6 +660,23 @@ class _Engine:
         self.stats.forward_tables = len(self.entries)
         self.stats.elapsed_ms = int((time.monotonic() - start) * 1000)
         return SynthResult(status, program, self.stats)
+
+
+def _cover(items: Sequence[tuple[frozenset, Yield]], start: int,
+           remaining: frozenset) -> Optional[list[Yield]]:
+    """The first exact cover of ``remaining`` by pairwise-disjoint row sets
+    of ``items[start:]``, in item order; None if there is none. A module
+    function, not a closure that names itself, so a search leaves no
+    reference cycle behind."""
+    if not remaining:
+        return []
+    for k in range(start, len(items)):
+        rows, stmt = items[k]
+        if rows <= remaining:
+            rest = _cover(items, k + 1, remaining - rows)
+            if rest is not None:
+                return [stmt] + rest
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,18 @@ randomized solver-recovery checks."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import tablesynth.features as features
 from tablesynth.errors import FeatureMissError, SchemaError
 from tablesynth.features import (
     BASE_TOKEN_CLASSES,
+    MAX_OCCURRENCE,
+    MAX_TOKENS,
     ConcatProgram,
     ExtractSegment,
     ExtractSpec,
@@ -33,6 +37,8 @@ from tablesynth.features import (
     solve_sum,
     substring,
     sum_feature,
+    _extractions,
+    _token_classes,
 )
 from tablesynth.progtext import format_feature
 from tablesynth.table import ColumnType
@@ -248,6 +254,51 @@ def test_string_solver_results_pinned():
     assert sum(f != "-" for f in found) == 59
     digest = hashlib.sha256("\n".join(found).encode()).hexdigest()[:16]
     assert digest == "d3efcf46b87d4ddb"
+
+
+def _extractions_unpruned(classes, texts):
+    """Reference enumeration: every token sequence up to ``MAX_TOKENS``
+    without adjacent equal tokens is scanned, live prefix or not."""
+    occs = [*range(1, MAX_OCCURRENCE + 1), *range(-1, -MAX_OCCURRENCE - 1, -1)]
+    for length in range(1, MAX_TOKENS + 1):
+        for tokens in itertools.product(classes, repeat=length):
+            if any(a == b for a, b in zip(tokens, tokens[1:])):
+                continue
+            pattern = features._compiled(tokens)
+            found = [pattern.findall(t) for t in texts]
+            if not all(found):
+                continue
+            for occ in occs:
+                results = [features._pick(m, occ) for m in found]
+                if None not in results:
+                    yield ExtractSpec(tokens, occ), results
+
+
+@given(st.lists(st.text("aZ9 ._", max_size=8), max_size=3))
+def test_extractions_match_the_unpruned_enumeration(texts):
+    classes = _token_classes(texts)
+    assert (list(_extractions(classes, texts))
+            == list(_extractions_unpruned(classes, texts)))
+
+
+def test_extractions_never_scan_a_dead_prefix(monkeypatch):
+    # No Upper or Whitespace run in either text: every sequence that starts
+    # with one is dead, and so is each of its extensions.
+    texts = ["report12.pdf", "notes7-a.txt"]
+    compiled = features._compiled
+    scanned = []
+
+    def counting(tokens):
+        scanned.append(tokens)
+        return compiled(tokens)
+
+    monkeypatch.setattr(features, "_compiled", counting)
+    assert list(_extractions(_token_classes(texts), texts))
+    assert max(map(len, scanned)) == MAX_TOKENS
+    for tokens in scanned:
+        prefix = tokens[:-1]
+        assert not prefix or all(compiled(prefix).search(t) for t in texts), \
+            tokens
 
 
 # -- randomized recovery -----------------------------------------------------

@@ -22,6 +22,7 @@ from tablesynth.synth import (
     SynthTask,
     _concat_feasible,
     _Engine,
+    _row_chars,
     generate_hypotheses,
     score_subtable,
     synthesize,
@@ -127,7 +128,8 @@ def _input_tables(draw):
 
 @given(st.text("abcd", max_size=6), _input_tables())
 def test_concat_feasible_matches_brute_force(value, inputs):
-    assert _concat_feasible(value, inputs) == _pieces_reference(value, inputs)
+    assert (_concat_feasible(value, _row_chars(inputs))
+            == _pieces_reference(value, inputs))
 
 
 def test_score_empty():
@@ -298,11 +300,18 @@ def test_synthesize_out_of_range_fit_is_not_a_match():
 
 
 def test_synthesize_empty_output_is_exhausted():
-    # The empty hypothesis matches, but its empty cover is no program.
-    t = Table("t", Schema([("id", ID), ("x", INT)]), [])
+    # The empty hypothesis matches an empty input, but its empty cover is no
+    # program. No program yields an empty output from a non-empty input, so
+    # no forward table is built for it.
     act = ActionSignature("act", (("id", ID), ("y", INT)))
     out = Table("out", act.output_schema(), [])
-    assert synthesize(SynthTask((t,), out, act)).status == "exhausted"
+    schema = Schema([("id", ID), ("x", INT), ("s", STR)])
+    for rows in ([], [(Id(f"r{i}"), i, f"s{i}") for i in range(4)]):
+        t = Table("t", schema, rows)
+        result = synthesize(SynthTask((t,), out, act,
+                                      settings=SynthSettings(timeout=60)))
+        assert result.status == "exhausted", rows
+        assert result.stats.forward_tables == 1, rows
 
 
 def test_synthesize_respects_timeout(frames_in, shift_out):
@@ -473,6 +482,21 @@ def test_a_finished_engine_is_freed_without_the_cycle_collector():
         ref = weakref.ref(engine)
         del engine
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_search_leaves_no_cyclic_garbage():
+    # Every object a search makes is freed by reference counting, so the
+    # cycle collector finds nothing after it.
+    gc.collect()
+    gc.disable()
+    try:
+        results = [synthesize(_benchmark("spreadsheet/fill-rowsum")(
+                       SynthSettings())),
+                   synthesize(_rename(SynthSettings()))]
+        assert [r.status for r in results] == ["solved", "solved"]
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -3,7 +3,9 @@ and the task-record printer gives one stable record per workload task."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import itertools
 import json
 import subprocess
 import sys
@@ -11,11 +13,16 @@ import sys
 from conftest import BENCHMARKS, ROOT
 
 
-def test_gen_benchmarks_regenerates_corpus(tmp_path, monkeypatch, capsys):
+def _load_tool(name):
     spec = importlib.util.spec_from_file_location(
-        "gen_benchmarks", ROOT / "tools" / "gen_benchmarks.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+        name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gen_benchmarks_regenerates_corpus(tmp_path, monkeypatch, capsys):
+    gen = _load_tool("gen_benchmarks")
     monkeypatch.setattr(gen, "BENCH", tmp_path)
     gen.main()
     capsys.readouterr()
@@ -43,3 +50,13 @@ def test_task_records_of_the_corpus():
                           "hypotheses_tried", "matches_solved", "generalized"}
         assert r["status"] == "solved" and r["generalized"] is True
         assert r["program"] == programs[r["id"]]
+
+
+def test_task_records_of_the_first_rename_tasks(monkeypatch):
+    # The string solvers decide these programs, tie-breaking included.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends to it
+    tool = _load_tool("task_records")
+    records = list(itertools.islice(tool.task_records("rename", 404), 20))
+    assert [r["status"] for r in records] == ["solved"] * 20
+    text = "\n".join(r["program"] for r in records)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "9b7bddf454a87356"
