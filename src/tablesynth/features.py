@@ -321,18 +321,24 @@ def solve_div(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
     """Fit y = floor((x + b) / d) by interval intersection over b for each d.
 
     Each pair constrains b to [d*y - x, d*y - x + d - 1]. The first nonempty
-    intersection (smallest d, then smallest feasible b) wins.
+    intersection (smallest d, then smallest feasible b) wins. Bounds only
+    tighten, so a divisor is dropped at its first empty intersection.
     """
     if len(pairs) < 2:
         return None
+    (x0, y0), rest = pairs[0], pairs[1:]
     for d in range(2, DIV_MAX_DIVIDEND + 1):
-        lo, hi = None, None
-        for x, y in pairs:
+        lo = d * y0 - x0
+        hi = lo + d - 1
+        for x, y in rest:
             plo = d * y - x
-            phi = plo + d - 1
-            lo = plo if lo is None else max(lo, plo)
-            hi = phi if hi is None else min(hi, phi)
-        if lo <= hi:
+            if plo > lo:
+                lo = plo
+            if plo + d - 1 < hi:
+                hi = plo + d - 1
+            if lo > hi:
+                break
+        else:
             return div(lo, d)
     return None
 
@@ -341,13 +347,19 @@ def solve_mod(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
     """Fit y = (x + b1) mod d + b2 with d in [2, 10], b1 in [0, d)."""
     if len(pairs) < 2:
         return None
-    x1, y1 = pairs[0]
+    (x1, y1), rest = pairs[0], pairs[1:]
     for d in range(2, 11):
         for b1 in range(d):
             b2 = y1 - (x1 + b1) % d
-            inst = mod(b1, b2, d)
-            if _fits(inst, pairs):
-                return inst
+            # The pairs are tested inline; an instance is built only for a
+            # fit, and ``_fits`` then rejects a value out of the 64-bit range.
+            for x, y in rest:
+                if (x + b1) % d + b2 != y:
+                    break
+            else:
+                inst = mod(b1, b2, d)
+                if _fits(inst, pairs):
+                    return inst
     return None
 
 

@@ -59,7 +59,7 @@ from .dsl import (
 )
 from .errors import (EngineInternalError, SchemaError, TableSynthError,
                      ValidationFailure)
-from .features import (
+from .features import (  # the solvers are looked up by name in _Engine._solve
     FeatureFamily,
     enumerate_feature_families,
     solve_concat,
@@ -81,6 +81,12 @@ CONCAT_MAX_INPUTS = 2
 #: Sub-table pools are augmented with the full power set when the output
 #: example is at most this many rows; keeps small examples complete.
 POWERSET_ROWS = 6
+#: (value type, input count) -> the feature families over that signature,
+#: for the input counts ``_Engine._solve_column`` tries.
+_FAMILIES_BY_SIGNATURE = {
+    (ty, arity): tuple(enumerate_feature_families((ty,) * arity, ty))
+    for ty in ColumnType for arity in range(1, CONCAT_MAX_INPUTS + 1)
+}
 
 
 @dataclass(frozen=True)
@@ -381,6 +387,10 @@ class _Engine:
         self.seen_tables: dict[Table, ForwardEntry] = {}
         self.pred_memo: dict = {}
         self.solver_cache: dict = {}
+        #: The last hypothesis table ``_surjections`` saw, and its
+        #: identifying columns (``_identifying_columns``).
+        self.id_table: Optional[Table] = None
+        self.id_columns: list[tuple[ColumnType, dict]] = []
         #: The current depth's keep loop, suspended after its last kept entry.
         self.stream: Iterator[ForwardEntry] = iter(())
         for t in task.inputs:
@@ -469,16 +479,9 @@ class _Engine:
         if key in self.solver_cache:
             return self.solver_cache[key]
         self.deadline.check()
-        # Built per call, so a solver replaced on this module is the one run.
-        solvers = {
-            FeatureFamily.LINEAR: solve_linear,
-            FeatureFamily.DIV: solve_div,
-            FeatureFamily.MOD: solve_mod,
-            FeatureFamily.SUM: solve_sum,
-            FeatureFamily.SUBSTRING: solve_substring,
-            FeatureFamily.CONCAT: solve_concat,
-        }
-        result = solvers[family](data)
+        # Looked up by name per call, so a solver replaced on this module is
+        # the one run.
+        result = globals()["solve_" + family.value](data)
         self.solver_cache[key] = result
         return result
 
@@ -496,10 +499,7 @@ class _Engine:
             yield (0,) * t.nrows
             return
         seen = set()
-        for j, (_, ty_j) in enumerate(h.schema.columns):
-            index = {row[j]: i for i, row in enumerate(h.rows)}
-            if len(index) < h.nrows:
-                continue
+        for ty_j, index in self._identifying_columns(h):
             for c, (_, tty) in enumerate(t.schema.columns):
                 if tty is not ty_j:
                     continue
@@ -514,6 +514,20 @@ class _Engine:
                     if len(set(rt)) == h.nrows and rt not in seen:
                         seen.add(rt)
                         yield rt
+
+    def _identifying_columns(self, h: Table) -> list[tuple[ColumnType, dict]]:
+        """Per column of h whose values are pairwise distinct, its type and
+        its value -> row position dict. Matching scans every forward table
+        with one hypothesis table, so they are built once per table object
+        (an equal table built later is a new object and is read again)."""
+        if h is not self.id_table:
+            self.id_table = h
+            self.id_columns = []
+            for j, (_, ty) in enumerate(h.schema.columns):
+                index = {row[j]: i for i, row in enumerate(h.rows)}
+                if len(index) == h.nrows:
+                    self.id_columns.append((ty, index))
+        return self.id_columns
 
     def _solve_columns(self, t: Table, h: Table,
                        r: tuple[int, ...]) -> Optional[tuple[Projection, ...]]:
@@ -538,7 +552,7 @@ class _Engine:
         if ty is not ColumnType.ID and len(set(want)) == 1:
             return ConstP(want[0])
         for arity in range(1, CONCAT_MAX_INPUTS + 1):
-            for family in enumerate_feature_families((ty,) * arity, ty):
+            for family in _FAMILIES_BY_SIGNATURE[ty, arity]:
                 concat = family is FeatureFamily.CONCAT
                 pick = itertools.permutations if concat else itertools.combinations
                 for combo in pick(cols, arity):

@@ -6,8 +6,9 @@
    10 seconds with two threshold filters and constant-projection Yields,
    and classifies pending scores 59 / 60 / 100 correctly.
 3. Ablation: the bidirectional search solves the parity family for
-   k in {4, 10, 20} within 120 seconds each, while the forward-only
-   baseline times out at k = 20.
+   k in {4, 10, 20, 40} within 120 seconds each, while the forward-only
+   baseline times out at k = 40. At k = 10, 12, 14 the baseline tries
+   562, 2224, 8830 hypotheses and the bidirectional search 3.
 4. Soundness on 200 random tasks: every returned program reproduces the
    output example exactly.
 5. Solver recovery: 500 random parameterizations per feature family are
@@ -127,7 +128,7 @@ def test_criterion_2_pass_fail():
 
 # -- criterion 3: ablation against the forward-only baseline -----------------
 
-@pytest.mark.parametrize("k", [4, 10, 20])
+@pytest.mark.parametrize("k", [4, 10, 20, 40])
 def test_criterion_3_bidirectional_scales(k):
     task = ablation_family(k, SynthSettings(timeout=120.0))
     start = time.monotonic()
@@ -146,9 +147,22 @@ def test_criterion_3_forward_only_small(k):
     assert result.status == "solved", k
 
 
+@pytest.mark.parametrize("k, forward_only", [(10, 562), (12, 2224),
+                                              (14, 8830)])
+def test_criterion_3_hypothesis_counts(k, forward_only):
+    # The baseline tries every larger subset of the k output rows before the
+    # two parity halves: about 4x more for every 2 rows. The ranked search
+    # tries 3 at any k.
+    task = ablation_family(k, SynthSettings(timeout=120.0))
+    assert synthesize_forward_only(task).stats.hypotheses_tried == forward_only
+    assert synthesize(task).stats.hypotheses_tried == 3
+
+
 @pytest.mark.slow
-def test_criterion_3_forward_only_times_out_at_20():
-    task = ablation_family(20, SynthSettings(timeout=120.0))
+def test_criterion_3_forward_only_times_out_at_40():
+    # At k = 20 the baseline solves after 557,387 hypotheses; at k = 40 it
+    # would need on the order of 10**11.
+    task = ablation_family(40, SynthSettings(timeout=120.0))
     result = synthesize_forward_only(task)
     assert result.status == "timeout"
 

@@ -336,6 +336,85 @@ def test_solve_div_is_consistent_randomized():
         assert all(apply_feature(f, (x,)) == y for x, y in pairs)
 
 
+# -- integer solvers against their plain definitions -------------------------
+
+def _solve_div_reference(pairs):
+    """``solve_div`` without the early exit: every pair narrows every
+    divisor's interval before the interval is tested."""
+    if len(pairs) < 2:
+        return None
+    for d in range(2, features.DIV_MAX_DIVIDEND + 1):
+        lo, hi = None, None
+        for x, y in pairs:
+            plo = d * y - x
+            phi = plo + d - 1
+            lo = plo if lo is None else max(lo, plo)
+            hi = phi if hi is None else min(hi, phi)
+        if lo <= hi:
+            return div(lo, d)
+    return None
+
+
+def _solve_mod_reference(pairs):
+    """``solve_mod`` without the inline test: an instance per candidate,
+    checked by ``_fits``."""
+    if len(pairs) < 2:
+        return None
+    x1, y1 = pairs[0]
+    for d in range(2, 11):
+        for b1 in range(d):
+            b2 = y1 - (x1 + b1) % d
+            inst = mod(b1, b2, d)
+            if features._fits(inst, pairs):
+                return inst
+    return None
+
+
+_INT64_EDGES = (-2**63 - 1, -2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1, 2**63)
+_INTS = st.one_of(st.integers(-60, 60), st.sampled_from(_INT64_EDGES),
+                  st.integers(-2**65, 2**65))
+
+
+@st.composite
+def _int_pairs(draw):
+    """0, 1 or many ``(x, y)`` pairs; y is arbitrary or the value of a div or
+    mod instance (offsets may sit at the 64-bit bounds), and one y may be
+    nudged so that no instance fits."""
+    xs = draw(st.lists(st.one_of(st.integers(-60, 60), _INTS), max_size=8))
+    kind = draw(st.sampled_from(("free", "div", "mod")))
+    if kind == "free":
+        ys = [draw(_INTS) for _ in xs]
+    elif kind == "div":
+        d, b = draw(st.integers(2, 120)), draw(_INTS)
+        ys = [(x + b) // d for x in xs]
+    else:
+        d, b1, b2 = draw(st.integers(2, 12)), draw(st.integers(0, 11)), draw(_INTS)
+        ys = [(x + b1) % d + b2 for x in xs]
+    if ys and draw(st.booleans()):
+        i = draw(st.integers(0, len(ys) - 1))
+        ys[i] += draw(st.sampled_from((-1, 1)))
+    return list(zip(xs, ys))
+
+
+@given(_int_pairs())
+def test_solve_div_equals_its_definition(pairs):
+    assert solve_div(pairs) == _solve_div_reference(pairs)
+
+
+@given(_int_pairs())
+def test_solve_mod_equals_its_definition(pairs):
+    assert solve_mod(pairs) == _solve_mod_reference(pairs)
+
+
+def test_solve_mod_rejects_an_out_of_range_output():
+    # d = 2, b1 = 0, b2 = 2**63 computes both outputs exactly, but they lie
+    # past the 64-bit range, so no instance fits.
+    pairs = [(0, 2**63), (1, 2**63 + 1)]
+    assert all((x + 0) % 2 + 2**63 == y for x, y in pairs)
+    assert solve_mod(pairs) is None
+    assert solve_mod([(3, 1), (4, 2), (5, -2**63 - 1)]) is None
+
+
 # -- family enumeration --------------------------------------------------------
 
 INT, STR, ID = ColumnType.INT, ColumnType.STR, ColumnType.ID

@@ -271,6 +271,32 @@ def test_long_table_without_identifying_column_solves():
     assert exec_program(result.program, [t], fill) == out
 
 
+def test_row_maps_of_one_engine_equal_a_fresh_engines(
+        frames_in, shift_out, odd_u, even_v, yield1, yield2):
+    # An engine reads a hypothesis table's identifying columns once and
+    # keeps them for the next forward table. ``swap`` is matched through its
+    # Id column and, in the other order, through its two Int columns.
+    k_id = Table("k", Schema([("k", INT), ("id", ID)]),
+                 [(1, Id("f1")), (2, Id("f2"))])
+    swap = Table("h", SHIFT_SCHEMA, [("shift", Id("f1"), "GB", 2, 2),
+                                     ("shift", Id("f2"), "GB", 1, 1)])
+    tables = (frames_in, odd_u, even_v, k_id)
+
+    def fresh(t, h):
+        return list(_engine(frames_in, shift_out)._surjections(t, h))
+
+    eng = _engine(frames_in, shift_out)
+    suspended = eng._surjections(k_id, swap)
+    first = next(suspended)
+    h1_copy = yield1.renamed("y1")  # equal to yield1, a distinct object
+    for h in (yield1, yield2, swap, yield1, h1_copy):
+        for t in tables:
+            assert list(eng._surjections(t, h)) == fresh(t, h), (t, h)
+    # A map stream started before the others were read is unchanged.
+    assert [first, *suspended] == fresh(k_id, swap) == [(0, 1), (1, 0)]
+    assert fresh(odd_u, yield1) == fresh(odd_u, h1_copy) != []
+
+
 # -- end-to-end --------------------------------------------------------------
 
 def test_synthesize_running_example(frames_in, shift_out):

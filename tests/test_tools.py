@@ -60,3 +60,32 @@ def test_task_records_of_the_first_rename_tasks(monkeypatch):
     assert [r["status"] for r in records] == ["solved"] * 20
     text = "\n".join(r["program"] for r in records)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "9b7bddf454a87356"
+
+
+def _search_digest(records) -> str:
+    """A digest of each record's status, program text and search counters."""
+    fields = ("status", "program", "forward_tables", "hypotheses_tried",
+              "matches_solved")
+    text = "\n".join(json.dumps([r[f] for f in fields]) for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_task_records_of_the_first_sweep_tasks(monkeypatch):
+    # Matching decides these searches: a change to the row maps, the family
+    # order or a solver's fit moves a status, a program or a counter here.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends to it
+    tool = _load_tool("task_records")
+    records = list(itertools.islice(tool.task_records("sweep", 404), 40))
+    assert [r["status"] for r in records].count("solved") == 33
+    assert _search_digest(records) == "f16a886ac9378f47"
+
+
+def test_task_records_of_the_parity_baseline(monkeypatch):
+    # The forward-only baseline tries every larger subset of the 14 output
+    # rows before the two parity halves.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends to it
+    tool = _load_tool("task_records")
+    [record] = tool.task_records("parity-fwd", 404)
+    assert record["status"] == "solved" and record["generalized"] is True
+    assert [record["forward_tables"], record["hypotheses_tried"],
+            record["matches_solved"]] == [25, 8830, 2]
