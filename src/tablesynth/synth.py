@@ -232,9 +232,10 @@ class HypothesisGenerator:
 
     The pool holds the full example; per column, the rows sharing each
     value; per Int column with distinct values, each maximal run of two or
-    more consecutive integers; the complement of each of these; and, for an
-    example of at most ``POWERSET_ROWS`` rows, every proper non-empty
-    subset. It is ranked by ``_rank``.
+    more consecutive integers; and, for an example of at most
+    ``POWERSET_ROWS`` rows, every proper non-empty subset. It is ranked by
+    ``_rank``, and a match pulls its complement to the front
+    (``update_rank``).
     """
 
     def __init__(self, output: Table, inputs: Sequence[Table],
@@ -244,26 +245,19 @@ class HypothesisGenerator:
         self.bound = settings.hypothesis_bound
         self.all_rows = frozenset(output.rows)
         pool: dict[frozenset, str] = {self.all_rows: "full-table"}
-
-        def add(rows, tag):
-            if rows and rows not in pool:
-                pool[frozenset(rows)] = tag
-
         for j, (_, ty) in enumerate(output.schema.columns):
             groups: dict[Value, list] = {}
             for row in output.rows:
                 groups.setdefault(row[j], []).append(row)
             for group in groups.values():
-                add(frozenset(group), "signature-group")
+                pool.setdefault(frozenset(group), "signature-group")
             if ty is ColumnType.INT:
                 for run in self._consecutive_runs(j):
-                    add(run, "signature-group")
-        for c in list(pool):
-            add(self.all_rows - c, "complement")
+                    pool.setdefault(run, "signature-group")
         if output.nrows <= POWERSET_ROWS:
             for k in range(1, output.nrows):
                 for combo in itertools.combinations(output.rows, k):
-                    add(frozenset(combo), "signature-group")
+                    pool.setdefault(frozenset(combo), "signature-group")
         self.queue: list[Hypothesis] = sorted(
             (Hypothesis(rows, score_subtable(rows, output.schema, self.inputs), tag)
              for rows, tag in pool.items()), key=_rank)
@@ -297,22 +291,21 @@ class HypothesisGenerator:
 
 
 class _SubsetSource:
-    """The forward-only baseline's hypotheses: every subset of the output
-    rows, larger first, except the row sets in ``skip`` (those matched at an
-    earlier depth). Unscored and unbounded."""
+    """The forward-only baseline's hypotheses: every non-empty subset of the
+    output rows, larger first. Unscored and unbounded. A row set matched at
+    an earlier depth is tried again and finds the same first entry."""
 
-    def __init__(self, output: Table, deadline: _Deadline, skip: set):
+    def __init__(self, output: Table, deadline: _Deadline):
         self.deadline = deadline
-        self.skip = skip
-        self.subsets = (frozenset(combo) for k in range(output.nrows, 0, -1)
-                        for combo in itertools.combinations(output.rows, k))
+        self.hypotheses = (Hypothesis(frozenset(combo), 0, "signature-group")
+                           for k in range(output.nrows, 0, -1)
+                           for combo in itertools.combinations(output.rows, k))
 
     def next(self) -> Optional[Hypothesis]:
-        for rows in self.subsets:
-            self.deadline.check()
-            if rows not in self.skip:
-                return Hypothesis(rows, 0, "signature-group")
-        return None
+        # Matching checks the deadline per forward table; without input
+        # tables there is none to scan, and this is the only check.
+        self.deadline.check()
+        return next(self.hypotheses, None)
 
     def update_rank(self, matched: Hypothesis):
         pass
@@ -493,7 +486,8 @@ class _Engine:
         is that column read out of a type-compatible column of t (Id anchors
         are the special case), with every row of h reached. An h of two or
         more rows without such a column has no candidate; its rows are left
-        to smaller hypotheses (value groups, complements, the power set).
+        to smaller hypotheses (value groups, consecutive runs, the power set,
+        a match's complement).
         """
         if h.nrows == 1:
             yield (0,) * t.nrows
@@ -628,11 +622,10 @@ class _Engine:
 
     # -- top-level loop ------------------------------------------------------
 
-    def _hypotheses(self, matched: Sequence[tuple[Yield, Hypothesis]]):
+    def _hypotheses(self):
         """This depth's hypothesis source, chosen by the search mode."""
         if self.settings.mode == "forward-only":
-            return _SubsetSource(self.task.output, self.deadline,
-                                 {h.rows for _, h in matched})
+            return _SubsetSource(self.task.output, self.deadline)
         return HypothesisGenerator(self.task.output, self.task.inputs,
                                    self.settings)
 
@@ -649,7 +642,7 @@ class _Engine:
             for d in depths:
                 if d > 0:
                     self.stream = self._keep(d)
-                source = self._hypotheses(matched)
+                source = self._hypotheses()
                 while (h := source.next()) is not None:
                     self.stats.hypotheses_tried += 1
                     stmt = self.match_hypothesis(h)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import time
 import weakref
 
 import pytest
@@ -21,7 +22,9 @@ from tablesynth.synth import (
     SynthSettings,
     SynthTask,
     _concat_feasible,
+    _Deadline,
     _Engine,
+    _SubsetSource,
     _row_chars,
     generate_hypotheses,
     score_subtable,
@@ -171,11 +174,11 @@ def test_hypothesis_queue_pinned_with_rank_updates(shift_out, frames_in):
             gen.update_rank(h)
     assert emitted == [
         ("f1 f2 f3 f4", 8, "full-table"),
-        ("f1 f2 f3", 6, "complement"),
-        ("f1 f2 f4", 6, "complement"),
+        ("f1 f2 f3", 6, "signature-group"),
+        ("f1 f2 f4", 6, "signature-group"),
         ("f3", 5, "complement"),
-        ("f1 f3 f4", 6, "complement"),
-        ("f2 f3 f4", 6, "complement"),
+        ("f1 f3 f4", 6, "signature-group"),
+        ("f2 f3 f4", 6, "signature-group"),
         ("f1", 5, "signature-group"),
         ("f2", 5, "signature-group"),
         ("f4", 5, "signature-group"),
@@ -189,9 +192,10 @@ def test_hypothesis_queue_pinned_with_rank_updates(shift_out, frames_in):
 
 
 def test_consecutive_runs_decide_a_sweep_task():
-    # Draw 116 of the depth-1 sweep splits ``num`` at 10. The first match is
-    # the complement of the consecutive run num = 4, 5 (the rows below 10);
-    # without the runs the search ends exhausted.
+    # Draw 116 of the depth-1 sweep splits ``num`` at 10. The third
+    # hypothesis is the consecutive run num = 4, 5 (the rows below 10). Its
+    # match pulls its complement to the front, and the complement matches.
+    # Without the runs the search ends exhausted.
     rng = random.Random(404)
     for _ in range(117):
         task, _ = random_task(rng, SynthSettings(max_depth=1))
@@ -199,7 +203,7 @@ def test_consecutive_runs_decide_a_sweep_task():
     stats = result.stats
     assert result.status == "solved"
     assert (stats.forward_tables, stats.hypotheses_tried,
-            stats.matches_solved) == (91, 11, 2)
+            stats.matches_solved) == (91, 4, 2)
     assert format_program(result.program) == (
         "t8 = Filter(items, intLt(num, 10));\n"
         "t11 = Filter(items, intGeq(num, 10));\n"
@@ -351,6 +355,19 @@ def test_synthesize_respects_timeout(frames_in, shift_out):
         SynthSettings(timeout=float("nan"))
 
 
+def test_task_without_inputs_respects_timeout():
+    # No input table means no forward table, so matching never checks the
+    # deadline; the subset source's own check ends the search. Without it
+    # all 3 x 2**20 subsets are tried, which ends exhausted after ~40 s.
+    act = ActionSignature("act", (("id", ID), ("y", INT)))
+    out = Table("out", act.output_schema(),
+                [("act", Id(f"r{i}"), i) for i in range(20)])
+    task = SynthTask((), out, act, settings=SynthSettings(timeout=0.5))
+    start = time.monotonic()
+    assert synthesize_forward_only(task).status == "timeout"
+    assert time.monotonic() - start < 5
+
+
 @pytest.mark.parametrize("const", [True, 1.5, None])
 def test_task_rejects_constant_that_is_not_a_table_value(frames_in, shift_out, const):
     with pytest.raises(SchemaError):
@@ -370,6 +387,15 @@ def test_forward_only_solves_small_family():
     out = exec_program(result.program, list(task.inputs), task.action)
     assert out == task.output.renamed(out.name)
     assert result.stats.to_json()["mode"] == "forward-only"
+
+
+def test_subset_source_yields_each_row_set_once_larger_first(shift_out):
+    source = _SubsetSource(shift_out, _Deadline(60))
+    row_sets = [h.rows for h in iter(source.next, None)]
+    assert len(set(row_sets)) == len(row_sets) == 2**4 - 1
+    assert all(rows and rows <= frozenset(shift_out.rows) for rows in row_sets)
+    sizes = [len(rows) for rows in row_sets]
+    assert sizes == sorted(sizes, reverse=True)
 
 
 def test_bidirectional_solves_family_sizes():

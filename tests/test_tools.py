@@ -77,7 +77,7 @@ def test_task_records_of_the_first_sweep_tasks(monkeypatch):
     tool = _load_tool("task_records")
     records = list(itertools.islice(tool.task_records("sweep", 404), 40))
     assert [r["status"] for r in records].count("solved") == 33
-    assert _search_digest(records) == "f16a886ac9378f47"
+    assert _search_digest(records) == "06953ca7d50aab0d"
 
 
 def test_task_records_of_the_parity_baseline(monkeypatch):
