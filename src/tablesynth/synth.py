@@ -411,8 +411,12 @@ class _Engine:
     def _candidates(self, d: int) -> Iterator[TransformStmt]:
         """Every depth-``d`` statement over the entries kept before it:
         Filters per entry, Joins over Id-column pairs, then per entry of depth
-        ``d - 1`` its GroupJoins and Orders. A target is named when its
-        statement is drawn, after the one before it was kept or dropped."""
+        ``d - 1`` its GroupJoins and Orders. A GroupJoin or a grouped Order is
+        drawn only over a column with a repeated value: a column of distinct
+        values puts each row in its own group, so a GroupJoin over it appends
+        only ``cnt = 1`` and copies of Int columns, and an Order within it
+        ranks every row 0. A target is named when its statement is drawn,
+        after the one before it was kept or dropped."""
         existing = list(self.entries)
         constants = sorted(self.task.constants, key=lambda v: (str(type(v)), v))
         for e in existing:
@@ -434,7 +438,9 @@ class _Engine:
                 continue
             schema = e.table.schema
             int_cols = [n for n, ty in schema.columns if ty is ColumnType.INT]
-            for col_index in schema.names:
+            grouping = [n for n in schema.names
+                        if len(set(e.table.column(n))) < e.table.nrows]
+            for col_index in grouping:
                 singles = [("cnt", col_index)]
                 singles += [(agg, c) for c in int_cols for agg in _INT_AGGREGATES]
                 for n in range(1, GROUPJOIN_MAX_AGGS + 1):
@@ -443,7 +449,7 @@ class _Engine:
                                         col_index, aggs)
             orderable = [n for n, ty in schema.columns if ty is not ColumnType.ID]
             for col in orderable:
-                for col_index in [None] + [n for n in schema.names if n != col]:
+                for col_index in [None] + [n for n in grouping if n != col]:
                     yield Order(self._fresh_name(), e.table.name, col, 0, False,
                                 col_index)
 

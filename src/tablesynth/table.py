@@ -25,7 +25,7 @@ I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Id:
     """Opaque identity token. Equality-comparable; never used in arithmetic
     or string features. The label ordering is used only for canonicalization."""
@@ -131,10 +131,12 @@ class Table:
 
     ``rows`` is a tuple sorted by the canonical key; duplicates are removed at
     construction. Equality and hashing ignore the name: two tables are equal
-    iff they have the same schema and the same row set.
+    iff they have the same schema and the same row set. Equal row sets are
+    equal ``rows`` tuples because the canonical order is total, so both
+    compare ``(schema, rows)``.
     """
 
-    __slots__ = ("name", "schema", "rows", "_rowset")
+    __slots__ = ("name", "schema", "rows")
 
     def __init__(self, name: str, schema: Schema, rows: Iterable[Sequence[Value]]):
         self.name = str(name)
@@ -153,7 +155,6 @@ class Table:
                     )
             checked.add(row)
         self.rows = tuple(sorted(checked, key=row_key))
-        self._rowset = frozenset(self.rows)
 
     @classmethod
     def _canonical(cls, name: str, schema: Schema, rows: Iterable[tuple]) -> "Table":
@@ -164,7 +165,6 @@ class Table:
         t.name = str(name)
         t.schema = schema
         t.rows = tuple(rows)
-        t._rowset = frozenset(t.rows)
         return t
 
     @property
@@ -172,17 +172,17 @@ class Table:
         return len(self.rows)
 
     def __contains__(self, row) -> bool:
-        return tuple(row) in self._rowset
+        return tuple(row) in self.rows
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Table)
             and self.schema == other.schema
-            and self._rowset == other._rowset
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.schema, self._rowset))
+        return hash((self.schema, self.rows))
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {self.nrows} rows, {self.schema!r})"

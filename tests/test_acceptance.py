@@ -169,7 +169,6 @@ def test_criterion_3_forward_only_times_out_at_40():
 
 # -- criterion 4: soundness on random tasks ----------------------------------
 
-@pytest.mark.slow
 def test_criterion_4_soundness_200_random_tasks():
     rng = random.Random(404)
     # A short budget keeps the run practical; soundness must hold for

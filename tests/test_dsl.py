@@ -294,12 +294,17 @@ _CELLS = {INT: st.integers(-3, 3), STR: st.sampled_from(["", "a", "ab", "b"]),
 
 
 @st.composite
-def _tables(draw, name="t"):
+def _tables(draw, name="t", max_rows=8):
     types = ([ID, draw(st.sampled_from([INT, STR]))]
              + draw(st.lists(st.sampled_from([INT, STR, ID]), max_size=2)))
     schema = Schema((f"c{i}", ty) for i, ty in enumerate(types))
-    rows = draw(st.lists(st.tuples(*(_CELLS[ty] for ty in types)), max_size=8))
+    rows = draw(st.lists(st.tuples(*(_CELLS[ty] for ty in types)),
+                         max_size=max_rows))
     return Table(name, schema, rows)
+
+
+#: Random tables, one-row tables drawn as often as the rest.
+_SMALL_OR_ANY_TABLES = st.one_of(_tables(max_rows=1), _tables())
 
 
 @st.composite
@@ -351,6 +356,42 @@ def test_groupjoin_and_order_match_their_definitions(data):
         t, col_index, aggs)
     args = data.draw(_order_args(t))
     assert exec_order(t, *args).rows == _order_by_rescan(t, *args)
+
+
+def _repeated_columns(t: Table) -> list[str]:
+    """The columns of ``t`` in which some value occurs twice."""
+    return [n for n in t.schema.names if len(set(t.column(n))) < t.nrows]
+
+
+@given(st.data())
+def test_grouping_by_a_distinct_column_adds_only_constants_and_copies(data):
+    # Over a column of distinct values each row is its own group.
+    t = data.draw(_SMALL_OR_ANY_TABLES)
+    repeated = _repeated_columns(t)
+    for col_index in [n for n in t.schema.names if n not in repeated]:
+        _, aggs = data.draw(_groupjoin_args(t))
+        grouped = exec_groupjoin(t, col_index, aggs)
+        added = [grouped.column(n) for n in grouped.schema.names[len(t.schema):]]
+        assert added == [(1,) * t.nrows if agg == "cnt" else t.column(col)
+                         for agg, col in aggs]
+        col, c_start, c_inv, _ = data.draw(_order_args(t))
+        ranked = exec_order(t, col, c_start, c_inv, col_index)
+        assert ranked.column(ranked.schema.names[-1]) == (c_start,) * t.nrows
+
+
+@given(st.data())
+def test_candidates_group_only_by_columns_with_a_repeated_value(data):
+    t = data.draw(_SMALL_OR_ANY_TABLES)
+    sig = ActionSignature("act", tuple(t.schema.columns))
+    out = Table("to", sig.output_schema(), [("act",) + r for r in t.rows])
+    engine = _Engine(SynthTask((t,), out, sig))
+    drawn = list(engine._candidates(1))
+    repeated = _repeated_columns(t)
+    assert {s.col_index for s in drawn if isinstance(s, GroupJoin)} == set(repeated)
+    # Every ungrouped Order is still drawn.
+    assert {(s.col, s.col_index) for s in drawn if isinstance(s, Order)} == {
+        (col, by) for col, ty in t.schema.columns if ty is not ID
+        for by in [None] + repeated if by != col}
 
 
 def _assert_canonical(out: Table):

@@ -145,6 +145,45 @@ def test_union_commutes_and_dedups(r1, r2):
     assert set(u.rows) == set(a.rows) | set(b.rows)
 
 
+# Rows over an Id, an Int and a Str column, from small domains so that rows
+# repeat and Id labels coincide with Str values.
+_MIXED = Schema([("id", ID), ("n", INT), ("s", STR)])
+_MIXED_CELLS = (st.sampled_from([Id("a"), Id("b")]), st.integers(-2, 2),
+                st.sampled_from(["", "a", "b"]))
+_mixed_rows_st = st.lists(st.tuples(*_MIXED_CELLS), max_size=6)
+#: A probe of any arity from 2 to 4, with any cell in any position.
+_probe_st = st.lists(st.one_of(*_MIXED_CELLS), min_size=2, max_size=4).map(tuple)
+
+
+@given(st.data())
+def test_tables_of_one_row_set_are_equal(data):
+    rows = data.draw(_mixed_rows_st)
+    t = Table("t", _MIXED, rows)
+    shuffled = data.draw(st.permutations(rows))
+    repeated = shuffled + data.draw(st.lists(st.sampled_from(rows))
+                                    if rows else st.just([]))
+    for other in (Table("u", _MIXED, shuffled), Table("v", _MIXED, repeated)):
+        assert other == t and hash(other) == hash(t)
+        assert other.rows == t.rows
+
+
+@given(_mixed_rows_st, _mixed_rows_st)
+def test_tables_of_different_row_sets_differ(r1, r2):
+    t1, t2 = Table("t", _MIXED, r1), Table("t", _MIXED, r2)
+    assert (t1 == t2) == (set(r1) == set(r2))
+
+
+@given(_mixed_rows_st, st.lists(_probe_st, max_size=4))
+def test_row_membership_holds_exactly_for_members(rows, probes):
+    t = Table("t", _MIXED, rows)
+    for row in rows:
+        assert row in t and list(row) in t
+        # Its sort key is no member: an Id is not its label.
+        assert (row[0].label,) + row[1:] not in t
+    for probe in probes:
+        assert (probe in t) == (probe in set(rows))
+
+
 @given(rows_st)
 def test_row_order_is_canonical(rows):
     s = Schema([("n", INT), ("s", STR)])
