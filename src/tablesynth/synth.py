@@ -193,29 +193,49 @@ def _concat_feasible(value: str, row_chars: Sequence[set]) -> bool:
     return bool(needed) and any(needed <= chars for chars in row_chars)
 
 
+def _column_facts(rows: Sequence, schema: Schema,
+                  inputs: Sequence[Table]) -> list[tuple]:
+    """What scoring a set of positions of ``rows`` needs, per column: its
+    type, its values, each position's value-group mask, and for a Str
+    column the mask of positions whose value is concat-feasible."""
+    row_chars = _row_chars(inputs)
+    facts = []
+    for j, (_, ty) in enumerate(schema.columns):
+        vals = [r[j] for r in rows]
+        groups: dict[Value, int] = {}
+        for i, v in enumerate(vals):
+            groups[v] = groups.get(v, 0) | 1 << i
+        feasible = sum(1 << i for i, v in enumerate(vals)
+                       if ty is ColumnType.STR and _concat_feasible(v, row_chars))
+        facts.append((ty, vals, [groups[v] for v in vals], feasible))
+    return facts
+
+
+def _score(facts: Sequence[tuple], mask: int, positions: Sequence[int]) -> int:
+    """The score of the rows at ``positions`` (``mask``): per column, one value
+    group, distinct Ints spanning ``n - 1``, each value concat-feasible."""
+    n = len(positions)
+    if not n:
+        return 0
+    per_col = 0
+    for ty, vals, group_of, feasible in facts:
+        per_col += not mask & ~group_of[positions[0]]
+        if ty is ColumnType.INT and n >= 2:
+            ints = {vals[i] for i in positions}
+            per_col += len(ints) == n and max(ints) - min(ints) == n - 1
+        per_col += ty is ColumnType.STR and not mask & ~feasible
+    return per_col * n
+
+
 def score_subtable(rows: Sequence, schema: Schema, inputs: Sequence[Table]) -> int:
     """S(t) = sum over columns of (const + ordered + concat terms) x row count.
 
     A Str column earns the concat term when each of its values is non-empty
-    and has all its characters in the Str fields of one input row. The
-    input rows' characters are collected once per call."""
+    and has all its characters in the Str fields of one input row. A row
+    listed twice counts twice."""
     rows = list(rows)
-    if not rows:
-        return 0
-    row_chars = _row_chars(inputs)
-    per_col = 0
-    for j, (_, ty) in enumerate(schema.columns):
-        vals = [r[j] for r in rows]
-        if len(set(vals)) == 1:
-            per_col += 1
-        if ty is ColumnType.INT and len(vals) >= 2:
-            s = sorted(vals)
-            if all(b - a == 1 for a, b in zip(s, s[1:])):
-                per_col += 1
-        if ty is ColumnType.STR:
-            if all(_concat_feasible(v, row_chars) for v in vals):
-                per_col += 1
-    return per_col * len(rows)
+    return _score(_column_facts(rows, schema, inputs), (1 << len(rows)) - 1,
+                  range(len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,67 +247,71 @@ def _rank(h: Hypothesis) -> tuple:
     return (-h.score, -len(h.rows), sorted(row_key(r) for r in h.rows))
 
 
+def _consecutive_runs(vals: Sequence[int]) -> list[int]:
+    """Position masks of the maximal consecutive runs of distinct ``vals``."""
+    by_val = {v: i for i, v in enumerate(vals)}
+    if len(by_val) != len(vals):
+        return []
+    # Along sorted distinct values, value minus position is constant
+    # exactly within a run of consecutive integers.
+    runs = [[v for _, v in run] for _, run in itertools.groupby(
+        enumerate(sorted(by_val)), key=lambda p: p[1] - p[0])]
+    return [sum(1 << by_val[v] for v in run) for run in runs if len(run) >= 2]
+
+
 class HypothesisGenerator:
     """Prioritized, bounded queue of sub-tables of the output example.
 
     The pool holds the full example; per column, the rows sharing each
     value; per Int column with distinct values, each maximal run of two or
     more consecutive integers; and, for an example of at most
-    ``POWERSET_ROWS`` rows, every proper non-empty subset. It is ranked by
-    ``_rank``, and a match pulls its complement to the front
-    (``update_rank``).
+    ``POWERSET_ROWS`` rows, every proper non-empty subset. A row set is a
+    bitmask over the output's row positions, scored from column facts
+    computed once, and becomes a ``Hypothesis`` when it is emitted. The
+    pool is ranked in ``_rank`` order, and a match pulls its complement to
+    the front (``update_rank``).
     """
 
     def __init__(self, output: Table, inputs: Sequence[Table],
                  settings: SynthSettings):
-        self.output = output
-        self.inputs = list(inputs)
+        self.rows = output.rows
         self.bound = settings.hypothesis_bound
-        self.all_rows = frozenset(output.rows)
-        pool: dict[frozenset, str] = {self.all_rows: "full-table"}
-        for j, (_, ty) in enumerate(output.schema.columns):
-            groups: dict[Value, list] = {}
-            for row in output.rows:
-                groups.setdefault(row[j], []).append(row)
-            for group in groups.values():
-                pool.setdefault(frozenset(group), "signature-group")
+        self.facts = _column_facts(self.rows, output.schema, inputs)
+        self.full = (1 << output.nrows) - 1
+        pool: dict[int, str] = {self.full: "full-table"}
+        for ty, vals, group_of, _ in self.facts:
+            for mask in group_of:
+                pool.setdefault(mask, "signature-group")
             if ty is ColumnType.INT:
-                for run in self._consecutive_runs(j):
+                for run in _consecutive_runs(vals):
                     pool.setdefault(run, "signature-group")
         if output.nrows <= POWERSET_ROWS:
-            for k in range(1, output.nrows):
-                for combo in itertools.combinations(output.rows, k):
-                    pool.setdefault(frozenset(combo), "signature-group")
-        self.queue: list[Hypothesis] = sorted(
-            (Hypothesis(rows, score_subtable(rows, output.schema, self.inputs), tag)
-             for rows, tag in pool.items()), key=_rank)
+            for mask in range(1, self.full):
+                pool.setdefault(mask, "signature-group")
+        self.queue = sorted(itertools.starmap(self._entry, pool.items()))
         self.emitted = 0
 
-    def _consecutive_runs(self, j: int) -> list[frozenset]:
-        by_val = {r[j]: r for r in self.output.rows}
-        if len(by_val) != self.output.nrows:
-            return []
-        # Along sorted distinct values, value minus position is constant
-        # exactly within a run of consecutive integers.
-        runs = [[v for _, v in run] for _, run in itertools.groupby(
-            enumerate(sorted(by_val)), key=lambda p: p[1] - p[0])]
-        return [frozenset(by_val[v] for v in run) for run in runs if len(run) >= 2]
+    def _entry(self, mask: int, tag: str) -> tuple:
+        """``(key, mask, score, tag)``, ``key = (-score, -size, positions)``
+        with positions ascending. A table stores its rows in row-key order,
+        so ``key`` orders as ``_rank``."""
+        positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        score = _score(self.facts, mask, positions)
+        return (-score, -len(positions), positions), mask, score, tag
 
     def next(self) -> Optional[Hypothesis]:
         if self.emitted >= self.bound or not self.queue:
             return None
         self.emitted += 1
-        return self.queue.pop(0)
+        key, _, score, tag = self.queue.pop(0)
+        return Hypothesis(frozenset(self.rows[i] for i in key[2]), score, tag)
 
     def update_rank(self, matched: Hypothesis):
-        complement = self.all_rows - matched.rows
-        self.queue = [h for h in self.queue if h.rows != complement]
+        complement = self.full & ~sum(1 << i for i, row in enumerate(self.rows)
+                                      if row in matched.rows)
+        self.queue = [e for e in self.queue if e[1] != complement]
         if complement:
-            self.queue.insert(0, Hypothesis(
-                complement,
-                score_subtable(complement, self.output.schema, self.inputs),
-                "complement",
-            ))
+            self.queue.insert(0, self._entry(complement, "complement"))
 
 
 class _SubsetSource:

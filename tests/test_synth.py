@@ -10,13 +10,14 @@ import time
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tablesynth.domains import load_benchmark
 from tablesynth.dsl import ActionSignature, exec_program
 from tablesynth.errors import IntRangeError, SchemaError
 from tablesynth.progtext import format_program
 from tablesynth.synth import (
+    POWERSET_ROWS,
     Hypothesis,
     HypothesisGenerator,
     SynthSettings,
@@ -25,6 +26,7 @@ from tablesynth.synth import (
     _Deadline,
     _Engine,
     _SubsetSource,
+    _rank,
     _row_chars,
     generate_hypotheses,
     score_subtable,
@@ -209,6 +211,156 @@ def test_consecutive_runs_decide_a_sweep_task():
         "t11 = Filter(items, intGeq(num, 10));\n"
         'Yield("act", t11, id, num, num);\n'
         'Yield("act", t8, id, num, linear(2,-18)(num));\n')
+
+
+# -- the generator against its row-set definition ----------------------------
+
+def _score_subtable_reference(rows, schema, inputs):
+    """``score_subtable`` scored row by row from the values of the list."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    row_chars = _row_chars(inputs)
+    per_col = 0
+    for j, (_, ty) in enumerate(schema.columns):
+        vals = [r[j] for r in rows]
+        if len(set(vals)) == 1:
+            per_col += 1
+        if ty is INT and len(vals) >= 2:
+            s = sorted(vals)
+            if all(b - a == 1 for a, b in zip(s, s[1:])):
+                per_col += 1
+        if ty is STR:
+            if all(_concat_feasible(v, row_chars) for v in vals):
+                per_col += 1
+    return per_col * len(rows)
+
+
+class _GeneratorReference:
+    """``HypothesisGenerator`` over frozensets of rows: every pool entry is
+    scored by ``_score_subtable_reference`` and ranked by ``_rank``."""
+
+    def __init__(self, output, inputs, settings):
+        self.output = output
+        self.inputs = list(inputs)
+        self.bound = settings.hypothesis_bound
+        self.all_rows = frozenset(output.rows)
+        pool = {self.all_rows: "full-table"}
+        for j, (_, ty) in enumerate(output.schema.columns):
+            groups = {}
+            for row in output.rows:
+                groups.setdefault(row[j], []).append(row)
+            for group in groups.values():
+                pool.setdefault(frozenset(group), "signature-group")
+            if ty is INT:
+                for run in self._consecutive_runs(j):
+                    pool.setdefault(run, "signature-group")
+        if output.nrows <= POWERSET_ROWS:
+            for k in range(1, output.nrows):
+                for combo in itertools.combinations(output.rows, k):
+                    pool.setdefault(frozenset(combo), "signature-group")
+        self.queue = sorted(
+            (Hypothesis(rows, _score_subtable_reference(
+                rows, output.schema, self.inputs), tag)
+             for rows, tag in pool.items()), key=_rank)
+        self.emitted = 0
+
+    def _consecutive_runs(self, j):
+        by_val = {r[j]: r for r in self.output.rows}
+        if len(by_val) != self.output.nrows:
+            return []
+        runs = [[v for _, v in run] for _, run in itertools.groupby(
+            enumerate(sorted(by_val)), key=lambda p: p[1] - p[0])]
+        return [frozenset(by_val[v] for v in run) for run in runs if len(run) >= 2]
+
+    def next(self):
+        if self.emitted >= self.bound or not self.queue:
+            return None
+        self.emitted += 1
+        return self.queue.pop(0)
+
+    def update_rank(self, matched):
+        complement = self.all_rows - matched.rows
+        self.queue = [h for h in self.queue if h.rows != complement]
+        if complement:
+            self.queue.insert(0, Hypothesis(
+                complement,
+                _score_subtable_reference(complement, self.output.schema,
+                                          self.inputs),
+                "complement"))
+
+
+_CELLS = {ID: st.text("ab", max_size=2).map(Id), INT: st.integers(-3, 3),
+          STR: st.text("abd", max_size=2)}  # "d" is in no input table
+
+
+@st.composite
+def _checked_tables(draw, max_rows=8):
+    types = draw(st.lists(st.sampled_from([ID, INT, STR]), min_size=1,
+                          max_size=4))
+    rows = draw(st.lists(st.tuples(*(_CELLS[ty] for ty in types)),
+                         max_size=max_rows))
+    return Table("o", Schema([(f"c{j}", ty) for j, ty in enumerate(types)]),
+                 rows)
+
+
+@given(_checked_tables(), _input_tables(), st.data())
+def test_position_key_orders_as_rank(table, inputs, data):
+    # The generator ranks row sets by output-row positions; assembly ranks
+    # matches by sorted row keys. Both must give one order.
+    gen = HypothesisGenerator(table, inputs, SynthSettings())
+    masks = data.draw(st.lists(st.integers(0, (1 << table.nrows) - 1),
+                               unique=True))
+    entries = {m: gen._entry(m, "t") for m in masks}
+    hyps = {m: Hypothesis(frozenset(table.rows[i] for i in key[2]), score, "t")
+            for m, (key, _, score, _) in entries.items()}
+    assert (sorted(masks, key=lambda m: entries[m][0])
+            == sorted(masks, key=lambda m: _rank(hyps[m])))
+
+
+@given(_checked_tables(), _input_tables(), st.data())
+def test_score_subtable_equals_its_reference(table, inputs, data):
+    # A row listed twice is scored once per occurrence.
+    rows = data.draw(st.lists(st.sampled_from(table.rows), max_size=6)
+                     if table.rows else st.just([]))
+    assert (score_subtable(rows, table.schema, inputs)
+            == _score_subtable_reference(rows, table.schema, inputs))
+
+
+_NAMES = Table("i", Schema([("name", STR), ("n", INT)]),
+               [("ab", 0), ("a", 1)])
+_SPAN_NOT_RUN = Table("o", Schema([("id", ID), ("n", INT)]),
+                      [(Id("a"), 0), (Id("b"), 2), (Id("c"), 2)])
+_WIDE = Table("o", Schema([("id", ID), ("k", INT), ("m", INT), ("s", STR),
+                           ("u", STR)]),
+              [(Id(f"r{i}"), k, m, s, u) for i, (k, m, s, u) in enumerate([
+                  (-2, 0, "ab", "d"), (-1, 2, "", "a"), (0, 2, "d", "ab"),
+                  (2, 1, "ab", ""), (3, 0, "b", "b"), (5, -1, "a", "d"),
+                  (6, 2, "ab", "ab"), (7, 3, "ba", "a")])])
+
+
+@given(_checked_tables(max_rows=POWERSET_ROWS + 3), _input_tables(),
+       st.lists(st.booleans()), st.integers(1, 80))
+@example(Table("o", Schema([("n", INT)]), []), [_NAMES], [True], 20)
+@example(Table("o", Schema([("s", STR), ("n", INT)]), [("ab", 1)]),
+         [_NAMES], [True], 20)
+@example(_SPAN_NOT_RUN, [_NAMES], [False], 20)
+@example(_WIDE, [_NAMES], [True, False, True, True], 80)
+def test_hypothesis_generator_equals_its_reference(output, inputs, matches,
+                                                   bound):
+    # ``matches[k]`` reports a match of the (k+1)-th emission: its
+    # complement jumps the queue.
+    settings = SynthSettings(hypothesis_bound=bound)
+    drained = []
+    for gen in (HypothesisGenerator(output, inputs, settings),
+                _GeneratorReference(output, inputs, settings)):
+        emitted = []
+        while (h := gen.next()) is not None:
+            emitted.append((h.rows, h.score, h.provenance))
+            if len(emitted) <= len(matches) and matches[len(emitted) - 1]:
+                gen.update_rank(h)
+        drained.append(emitted)
+    assert drained[0] == drained[1]
 
 
 # -- row surjections ---------------------------------------------------------
