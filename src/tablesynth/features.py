@@ -384,10 +384,8 @@ def _extractions(classes: Sequence[TokenClass], texts: Sequence[str]):
     same position, so a sequence with no match on some text has no
     extension with one. Length L is grown only from the length L-1
     sequences that matched on every text; each of those scans each text
-    once."""
-    occs = list(range(1, MAX_OCCURRENCE + 1)) + [
-        -k for k in range(1, MAX_OCCURRENCE + 1)
-    ]
+    once. Occurrence k exists on every text when it exists on the one with
+    the fewest matches, so the occurrences are read from that count."""
     live = [()]
     for _ in range(MAX_TOKENS):
         grown = []
@@ -401,46 +399,70 @@ def _extractions(classes: Sequence[TokenClass], texts: Sequence[str]):
                 if not all(found):
                     continue
                 grown.append(tokens)
-                for occ in occs:
-                    results = [_pick(matches, occ) for matches in found]
-                    if None not in results:
-                        yield ExtractSpec(tokens, occ), results
+                k = min([MAX_OCCURRENCE, *map(len, found)])
+                for occ in range(1, k + 1):
+                    yield ExtractSpec(tokens, occ), [m[occ - 1] for m in found]
+                for occ in range(1, k + 1):
+                    yield ExtractSpec(tokens, -occ), [m[-occ] for m in found]
         live = grown
 
 
-def solve_substring(pairs: Sequence[tuple[str, str]]) -> Optional[FeatureInstance]:
-    """Find one extract spec reproducing every (input, output) pair."""
+def _column_extractions(texts: tuple[str, ...], memo: dict) -> list:
+    """The ``_extractions`` of one column's texts, over the column's own
+    token classes, read from ``memo`` (keyed by the texts) or enumerated
+    into it. A Punct class taken from another column matches none of these
+    texts, so it is never yielded or grown: the list depends on the texts
+    alone, and every solver call over the same column can share it."""
+    found = memo.get(texts)
+    if found is None:
+        found = memo[texts] = list(_extractions(_token_classes(texts), texts))
+    return found
+
+
+def solve_substring(pairs: Sequence[tuple[str, str]],
+                    extractions: Optional[dict] = None) -> Optional[FeatureInstance]:
+    """Find one extract spec reproducing every (input, output) pair.
+
+    ``extractions`` is the memo of each column's extract specs that one
+    search shares between its string solver calls (``_column_extractions``);
+    a call without one starts a fresh memo."""
     if not pairs or any(not y for _, y in pairs):
         return None
     # Extraction only returns substrings; quick reject saves enumeration.
     if any(y not in x for x, y in pairs):
         return None
-    inputs = [x for x, _ in pairs]
+    inputs = tuple(x for x, _ in pairs)
     outputs = [y for _, y in pairs]
-    for spec, results in _extractions(_token_classes(inputs), inputs):
+    memo = {} if extractions is None else extractions
+    for spec, results in _column_extractions(inputs, memo):
         if results == outputs:
             return substring(spec)
     return None
 
 
-def solve_concat(rows: Sequence[tuple[tuple[str, ...], str]]) -> Optional[FeatureInstance]:
+def solve_concat(rows: Sequence[tuple[tuple[str, ...], str]],
+                 extractions: Optional[dict] = None) -> Optional[FeatureInstance]:
     """Find a concat program (extract and literal segments) reproducing every
     (inputs, output) row. Searches by increasing segment count; at equal
-    count, extract segments are preferred over literals."""
-    if not rows:
+    count, extract segments are preferred over literals. ``extractions`` is
+    as for ``solve_substring``."""
+    # Every segment yields a non-empty string, so no program has an empty
+    # output.
+    if not rows or any(not out for _, out in rows):
         return None
     n_inputs = len(rows[0][0])
     if any(len(ins) != n_inputs for ins, _ in rows):
         return None
-    classes = _token_classes([x for ins, _ in rows for x in ins])
     outs = [out for _, out in rows]
+    memo = {} if extractions is None else extractions
 
     # A usable segment must extract on every row and the result must occur
     # in that row's output, otherwise it can never be placed.
     pieces = [
         (ExtractSegment(pos, spec), results)
         for pos in range(n_inputs)
-        for spec, results in _extractions(classes, [ins[pos] for ins, _ in rows])
+        for spec, results in _column_extractions(
+            tuple(ins[pos] for ins, _ in rows), memo)
         if all(r in out for r, out in zip(results, outs))
     ]
 

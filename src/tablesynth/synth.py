@@ -60,6 +60,7 @@ from .dsl import (
 from .errors import (EngineInternalError, SchemaError, TableSynthError,
                      ValidationFailure)
 from .features import (  # the solvers are looked up by name in _Engine._solve
+    FAMILIES,
     FeatureFamily,
     enumerate_feature_families,
     solve_concat,
@@ -404,6 +405,9 @@ class _Engine:
         self.seen_tables: dict[Table, ForwardEntry] = {}
         self.pred_memo: dict = {}
         self.solver_cache: dict = {}
+        #: Each Str column's extract specs, shared by the string solvers
+        #: (``features._column_extractions``).
+        self.extractions: dict = {}
         #: The last hypothesis table ``_surjections`` saw, and its
         #: identifying columns (``_identifying_columns``).
         self.id_table: Optional[Table] = None
@@ -504,7 +508,11 @@ class _Engine:
         self.deadline.check()
         # Looked up by name per call, so a solver replaced on this module is
         # the one run.
-        result = globals()["solve_" + family.value](data)
+        solver = globals()["solve_" + family.value]
+        if FAMILIES[family][0] is ColumnType.STR:
+            result = solver(data, self.extractions)
+        else:
+            result = solver(data)
         self.solver_cache[key] = result
         return result
 

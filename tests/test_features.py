@@ -194,6 +194,10 @@ def test_solve_concat_prefers_extracts_over_literals():
 def test_solve_concat_infeasible():
     # Beyond max_segments * max_literal_len with nothing to extract.
     assert solve_concat([(("abc",), "xyz" * 50)]) is None
+    # Every segment yields a non-empty string, so no program fits an empty
+    # output.
+    assert solve_concat([(("a",), "")]) is None
+    assert solve_concat([(("a",), ""), (("b",), "")]) is None
 
 
 def _string_problems(seed: int, n: int) -> list:
@@ -279,6 +283,23 @@ def test_extractions_match_the_unpruned_enumeration(texts):
     classes = _token_classes(texts)
     assert (list(_extractions(classes, texts))
             == list(_extractions_unpruned(classes, texts)))
+
+
+#: Per column, the characters of its texts: each column has punctuation
+#: that another lacks.
+_COLUMN_ALPHABETS = ("aZ9 ._", "bY8-/", "cX7 :_")
+
+
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.tuples(*(st.text(a, max_size=8) for a in _COLUMN_ALPHABETS[:n])),
+    min_size=1, max_size=3)))
+def test_a_columns_extractions_depend_on_its_texts_alone(rows):
+    # The string solvers share one column's extractions between calls over
+    # different column sets: a Punct class of another column adds nothing.
+    every = _token_classes([x for row in rows for x in row])
+    for texts in zip(*rows):
+        assert (list(_extractions(every, texts))
+                == list(_extractions(_token_classes(texts), texts)))
 
 
 def test_extractions_never_scan_a_dead_prefix(monkeypatch):

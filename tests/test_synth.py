@@ -12,6 +12,7 @@ import weakref
 import pytest
 from hypothesis import example, given, strategies as st
 
+import tablesynth.features as features
 from tablesynth.domains import load_benchmark
 from tablesynth.dsl import ActionSignature, exec_program
 from tablesynth.errors import IntRangeError, SchemaError
@@ -703,6 +704,29 @@ def test_a_search_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_each_column_is_enumerated_once_per_search(monkeypatch):
+    # The rename task's solvers try name, owner, (name, owner) and (owner,
+    # name) over the same column texts. Each column's extract specs are
+    # enumerated once per search, and again by the next search: nothing is
+    # kept across searches.
+    enumerated = []
+    extractions = features._extractions
+
+    def counting(classes, texts):
+        enumerated.append(tuple(texts))
+        return extractions(classes, texts)
+
+    monkeypatch.setattr(features, "_extractions", counting)
+    task = _rename(SynthSettings())
+    (files,) = task.inputs
+    assert synthesize(task).status == "solved"
+    assert sorted(enumerated) == sorted([files.column("name"),
+                                         files.column("owner")])
+    first = list(enumerated)
+    assert synthesize(task).status == "solved"
+    assert enumerated == first * 2
 
 
 def test_matching_on_a_fresh_engine_scans_the_inputs():

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
-import itertools
 import json
 import subprocess
 import sys
@@ -53,13 +52,16 @@ def test_task_records_of_the_corpus():
 
 
 def test_task_records_of_the_first_rename_tasks(monkeypatch):
-    # The string solvers decide these programs, tie-breaking included.
+    # The string solvers decide these programs, tie-breaking included. The
+    # first 20 programs narrow a change down; all 100 records pin the
+    # workload.
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends to it
     tool = _load_tool("task_records")
-    records = list(itertools.islice(tool.task_records("rename", 404), 20))
-    assert [r["status"] for r in records] == ["solved"] * 20
-    text = "\n".join(r["program"] for r in records)
+    records = list(tool.task_records("rename", 404))
+    assert [r["status"] for r in records] == ["solved"] * 100
+    text = "\n".join(r["program"] for r in records[:20])
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "9b7bddf454a87356"
+    assert _search_digest(records) == "6abfd190a37fa12b"
 
 
 def _search_digest(records) -> str:
