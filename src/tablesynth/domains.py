@@ -46,6 +46,10 @@ class EntitySpec:
     fields: tuple[FieldSpec, ...]
     variadic: bool = False  # trailing field repeats as <name>1, <name>2, ...
 
+    def __post_init__(self):
+        if self.variadic and not self.fields:
+            raise BenchmarkFormatError(f"variadic entity {self.name!r} has no field")
+
     def admits(self, schema: Schema) -> bool:
         fixed = self.fields[:-1] if self.variadic else self.fields
         cols = list(schema.columns)
@@ -255,7 +259,7 @@ def read_json_file(path: Path):
     """The parsed JSON contents of ``path``."""
     try:
         return json.loads(path.read_text())
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8/JSON, too deep
         raise BenchmarkFormatError(f"cannot read {path}: {exc}") from None
 
 

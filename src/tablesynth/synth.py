@@ -70,7 +70,7 @@ from .features import (  # the solvers are looked up by name in _Engine._solve
     solve_substring,
     solve_sum,
 )
-from .table import ColumnType, Schema, Table, Value, row_key, type_of
+from .table import ColumnType, Schema, Table, Value, type_of
 
 # ---------------------------------------------------------------------------
 # Configuration and result types.
@@ -243,11 +243,6 @@ def score_subtable(rows: Sequence, schema: Schema, inputs: Sequence[Table]) -> i
 # Hypothesis generation and ranking.
 
 
-def _rank(h: Hypothesis) -> tuple:
-    """Higher score first, then more rows, then canonical row-set order."""
-    return (-h.score, -len(h.rows), sorted(row_key(r) for r in h.rows))
-
-
 def _consecutive_runs(vals: Sequence[int]) -> list[int]:
     """Position masks of the maximal consecutive runs of distinct ``vals``."""
     by_val = {v: i for i, v in enumerate(vals)}
@@ -268,16 +263,15 @@ class HypothesisGenerator:
     more consecutive integers; and, for an example of at most
     ``POWERSET_ROWS`` rows, every proper non-empty subset. A row set is a
     bitmask over the output's row positions, scored from column facts
-    computed once, and becomes a ``Hypothesis`` when it is emitted. The
-    pool is ranked in ``_rank`` order, and a match pulls its complement to
-    the front (``update_rank``).
+    computed once. ``next`` hands out entries ``(key, mask, score, tag)``
+    in ``key`` order (higher score, then more rows, then row positions),
+    and a match pulls its complement to the front (``update_rank``).
     """
 
     def __init__(self, output: Table, inputs: Sequence[Table],
                  settings: SynthSettings):
-        self.rows = output.rows
         self.bound = settings.hypothesis_bound
-        self.facts = _column_facts(self.rows, output.schema, inputs)
+        self.facts = _column_facts(output.rows, output.schema, inputs)
         self.full = (1 << output.nrows) - 1
         pool: dict[int, str] = {self.full: "full-table"}
         for ty, vals, group_of, _ in self.facts:
@@ -295,21 +289,19 @@ class HypothesisGenerator:
     def _entry(self, mask: int, tag: str) -> tuple:
         """``(key, mask, score, tag)``, ``key = (-score, -size, positions)``
         with positions ascending. A table stores its rows in row-key order,
-        so ``key`` orders as ``_rank``."""
+        so ties of score and size fall to canonical row-set order."""
         positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
         score = _score(self.facts, mask, positions)
         return (-score, -len(positions), positions), mask, score, tag
 
-    def next(self) -> Optional[Hypothesis]:
+    def next(self) -> Optional[tuple]:
         if self.emitted >= self.bound or not self.queue:
             return None
         self.emitted += 1
-        key, _, score, tag = self.queue.pop(0)
-        return Hypothesis(frozenset(self.rows[i] for i in key[2]), score, tag)
+        return self.queue.pop(0)
 
-    def update_rank(self, matched: Hypothesis):
-        complement = self.full & ~sum(1 << i for i, row in enumerate(self.rows)
-                                      if row in matched.rows)
+    def update_rank(self, mask: int):
+        complement = self.full & ~mask
         self.queue = [e for e in self.queue if e[1] != complement]
         if complement:
             self.queue.insert(0, self._entry(complement, "complement"))
@@ -317,22 +309,25 @@ class HypothesisGenerator:
 
 class _SubsetSource:
     """The forward-only baseline's hypotheses: every non-empty subset of the
-    output rows, larger first. Unscored and unbounded. A row set matched at
-    an earlier depth is tried again and finds the same first entry."""
+    output row positions, larger first, as ``HypothesisGenerator`` entries
+    of score 0. Unscored and unbounded. A row set matched at an earlier
+    depth is tried again and finds the same first entry."""
 
     def __init__(self, output: Table, deadline: _Deadline):
         self.deadline = deadline
-        self.hypotheses = (Hypothesis(frozenset(combo), 0, "signature-group")
-                           for k in range(output.nrows, 0, -1)
-                           for combo in itertools.combinations(output.rows, k))
+        n = output.nrows
+        self.entries = (((0, -k, combo), sum(1 << i for i in combo), 0,
+                         "signature-group")
+                        for k in range(n, 0, -1)
+                        for combo in itertools.combinations(range(n), k))
 
-    def next(self) -> Optional[Hypothesis]:
+    def next(self) -> Optional[tuple]:
         # Matching checks the deadline per forward table; without input
         # tables there is none to scan, and this is the only check.
         self.deadline.check()
-        return next(self.hypotheses, None)
+        return next(self.entries, None)
 
-    def update_rank(self, matched: Hypothesis):
+    def update_rank(self, mask: int):
         pass
 
 
@@ -408,10 +403,6 @@ class _Engine:
         #: Each Str column's extract specs, shared by the string solvers
         #: (``features._column_extractions``).
         self.extractions: dict = {}
-        #: The last hypothesis table ``_surjections`` saw, and its
-        #: identifying columns (``_identifying_columns``).
-        self.id_table: Optional[Table] = None
-        self.id_columns: list[tuple[ColumnType, dict]] = []
         #: The current depth's keep loop, suspended after its last kept entry.
         self.stream: Iterator[ForwardEntry] = iter(())
         for t in task.inputs:
@@ -516,22 +507,24 @@ class _Engine:
         self.solver_cache[key] = result
         return result
 
-    def _surjections(self, t: Table, h: Table) -> Iterator[tuple[int, ...]]:
+    def _surjections(self, t: Table, h: Table,
+                     ids: Sequence[tuple]) -> Iterator[tuple[int, ...]]:
         """Candidate row surjections t-rows -> h-rows.
 
         A one-row h takes every row of t. Otherwise a column of h whose
-        values are pairwise distinct identifies the row map: each candidate
-        is that column read out of a type-compatible column of t (Id anchors
-        are the special case), with every row of h reached. An h of two or
-        more rows without such a column has no candidate; its rows are left
-        to smaller hypotheses (value groups, consecutive runs, the power set,
-        a match's complement).
+        values are pairwise distinct identifies the row map (``ids``, from
+        ``_identifying_columns(h)``): each candidate is that column read out
+        of a type-compatible column of t (Id anchors are the special case),
+        with every row of h reached. An h of two or more rows without such a
+        column has no candidate; its rows are left to smaller hypotheses
+        (value groups, consecutive runs, the power set, a match's
+        complement).
         """
         if h.nrows == 1:
             yield (0,) * t.nrows
             return
         seen = set()
-        for ty_j, index in self._identifying_columns(h):
+        for ty_j, index in ids:
             for c, (_, tty) in enumerate(t.schema.columns):
                 if tty is not ty_j:
                     continue
@@ -546,20 +539,6 @@ class _Engine:
                     if len(set(rt)) == h.nrows and rt not in seen:
                         seen.add(rt)
                         yield rt
-
-    def _identifying_columns(self, h: Table) -> list[tuple[ColumnType, dict]]:
-        """Per column of h whose values are pairwise distinct, its type and
-        its value -> row position dict. Matching scans every forward table
-        with one hypothesis table, so they are built once per table object
-        (an equal table built later is a new object and is read again)."""
-        if h is not self.id_table:
-            self.id_table = h
-            self.id_columns = []
-            for j, (_, ty) in enumerate(h.schema.columns):
-                index = {row[j]: i for i, row in enumerate(h.rows)}
-                if len(index) == h.nrows:
-                    self.id_columns.append((ty, index))
-        return self.id_columns
 
     def _solve_columns(self, t: Table, h: Table,
                        r: tuple[int, ...]) -> Optional[tuple[Projection, ...]]:
@@ -596,13 +575,15 @@ class _Engine:
                         return MutateP(inst, combo)
         return None
 
-    def match_hypothesis(self, h: Hypothesis) -> Optional[Yield]:
-        """First forward table (ascending depth) admitting an exact match.
-        Past the last kept entry, the scan keeps more of the current depth."""
+    def match_hypothesis(self, positions: Sequence[int]) -> Optional[Yield]:
+        """First forward table (ascending depth) admitting an exact match of
+        the output rows at ``positions`` (ascending). Past the last kept
+        entry, the scan keeps more of the current depth."""
         output = self.task.output
-        # h.rows is a subset of the checked output: its rows in output order.
+        # A subsequence of the checked output's rows, so canonical.
         h_table = Table._canonical("h", output.schema,
-                                   [r for r in output.rows if r in h.rows])
+                                   [output.rows[i] for i in positions])
+        ids = _identifying_columns(h_table)
         # The list iterator ends at the entries kept so far; the stream then
         # yields each entry it appends.
         for entry in itertools.chain(self.entries, self.stream):
@@ -610,7 +591,7 @@ class _Engine:
             t = entry.table
             if t.nrows < h_table.nrows:
                 continue
-            for r in self._surjections(t, h_table):
+            for r in self._surjections(t, h_table, ids):
                 projections = self._solve_columns(t, h_table, r)
                 if projections is None:
                     continue
@@ -626,12 +607,12 @@ class _Engine:
 
     # -- assembly ------------------------------------------------------------
 
-    def assemble_mapping(self, matched: Sequence[tuple[Yield, Hypothesis]]):
-        """Exact cover of the output rows by pairwise-disjoint hypotheses."""
-        first: dict[frozenset, Yield] = {}  # per row set, its best-ranked match
-        for stmt, h in sorted(matched, key=lambda m: _rank(m[1])):
-            first.setdefault(h.rows, stmt)
-        return _cover(list(first.items()), 0, frozenset(self.task.output.rows))
+    def assemble_mapping(self, matched: Sequence[tuple[Yield, tuple]]):
+        """Exact cover of the output rows by pairwise-disjoint source entries."""
+        first: dict[int, Yield] = {}  # per row set, its best-ranked match
+        for stmt, (_, mask, _, _) in sorted(matched, key=lambda m: m[1][0]):
+            first.setdefault(mask, stmt)
+        return _cover(list(first.items()), 0, (1 << self.task.output.nrows) - 1)
 
     def assemble_program(self, mapping: Sequence[Yield]) -> Program:
         needed: set[str] = set()
@@ -669,7 +650,7 @@ class _Engine:
 
     def run(self) -> SynthResult:
         start = time.monotonic()
-        matched: list[tuple[Yield, Hypothesis]] = []
+        matched: list[tuple[Yield, tuple]] = []
         try:
             max_depth = self.settings.max_depth
             # Kept tables are non-empty and a Yield over a non-empty table
@@ -681,14 +662,15 @@ class _Engine:
                 if d > 0:
                     self.stream = self._keep(d)
                 source = self._hypotheses()
-                while (h := source.next()) is not None:
+                while (entry := source.next()) is not None:
                     self.stats.hypotheses_tried += 1
-                    stmt = self.match_hypothesis(h)
+                    key, mask, _, _ = entry
+                    stmt = self.match_hypothesis(key[2])
                     if stmt is None:
                         continue
                     self.stats.matches_solved += 1
-                    matched.append((stmt, h))
-                    source.update_rank(h)
+                    matched.append((stmt, entry))
+                    source.update_rank(mask)
                     cover = self.assemble_mapping(matched)
                     if cover:  # an empty output's empty cover is no program
                         program = self.assemble_program(cover)
@@ -707,18 +689,29 @@ class _Engine:
         return SynthResult(status, program, self.stats)
 
 
-def _cover(items: Sequence[tuple[frozenset, Yield]], start: int,
-           remaining: frozenset) -> Optional[list[Yield]]:
-    """The first exact cover of ``remaining`` by pairwise-disjoint row sets
-    of ``items[start:]``, in item order; None if there is none. A module
-    function, not a closure that names itself, so a search leaves no
-    reference cycle behind."""
+def _identifying_columns(h: Table) -> list[tuple[ColumnType, dict]]:
+    """Per column of h whose values are pairwise distinct, its type and its
+    value -> row position dict."""
+    ids = []
+    for j, (_, ty) in enumerate(h.schema.columns):
+        index = {row[j]: i for i, row in enumerate(h.rows)}
+        if len(index) == h.nrows:
+            ids.append((ty, index))
+    return ids
+
+
+def _cover(items: Sequence[tuple[int, Yield]], start: int,
+           remaining: int) -> Optional[list[Yield]]:
+    """The first exact cover of the position mask ``remaining`` by
+    pairwise-disjoint masks of ``items[start:]``, in item order; None if
+    there is none. A module function, not a closure that names itself, so a
+    search leaves no reference cycle behind."""
     if not remaining:
         return []
     for k in range(start, len(items)):
-        rows, stmt = items[k]
-        if rows <= remaining:
-            rest = _cover(items, k + 1, remaining - rows)
+        mask, stmt = items[k]
+        if not mask & ~remaining:
+            rest = _cover(items, k + 1, remaining & ~mask)
             if rest is not None:
                 return [stmt] + rest
     return None
@@ -739,7 +732,8 @@ def synthesize_forward_only(task: SynthTask) -> SynthResult:
 
 def generate_hypotheses(output: Table, inputs: Sequence[Table],
                         bound: int) -> list[Hypothesis]:
-    """The ranked hypothesis stream, fully drained (bounded)."""
+    """The generator's ranked entries, fully drained (bounded), as Hypotheses."""
     gen = HypothesisGenerator(output, inputs,
                               SynthSettings(hypothesis_bound=bound))
-    return list(iter(gen.next, None))
+    return [Hypothesis(frozenset(output.rows[i] for i in key[2]), score, tag)
+            for key, _, score, tag in iter(gen.next, None)]

@@ -166,6 +166,30 @@ def test_exec_deeply_nested_predicate_exits_1_without_traceback(tmp_path):
     assert proc.stderr.startswith("error: ")
 
 
+def _empty_variadic_entity(path):
+    src = json.loads((BENCHMARKS / "gif" / "running-example.json").read_text())
+    src["domain_spec"]["entities"][0].update(fields=[], variadic=True)
+    path.write_text(json.dumps(src))
+
+
+@pytest.mark.parametrize("command", ["synth", "exec"])
+@pytest.mark.parametrize("write", [
+    pytest.param(lambda path: path.write_text("[" * 200_000), id="deep-json"),
+    pytest.param(_empty_variadic_entity, id="empty-variadic-entity"),
+])
+def test_bad_benchmark_file_exits_1_without_traceback(tmp_path, command, write):
+    path = tmp_path / "case.json"
+    write(path)
+    args = [str(BENCHMARKS / "gif" / "running-example.prog")] * (command == "exec")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tablesynth.cli", command, *args, str(path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("program, where", [
     ('Yield("act", t, linear(1,0)(a, b), s);', "yield 0 arg "),
     ('Yield("act", t, sum(0)(a), s);', "yield 0 arg "),

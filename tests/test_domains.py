@@ -7,6 +7,7 @@ import json
 import pytest
 
 from tablesynth.domains import (
+    EntitySpec,
     builtin_domains,
     check_overfit,
     domain_from_json,
@@ -143,6 +144,16 @@ def test_load_rejects_names_program_text_cannot_spell(tmp_path, rename, bad):
     assert "my_frames.v2" in (t.name, *t.schema.names)
 
 
+def test_variadic_entity_needs_a_field_to_repeat(tmp_path):
+    with pytest.raises(BenchmarkFormatError, match="has no field"):
+        EntitySpec("cell", (), variadic=True)
+
+    def mutate(src):
+        src["domain_spec"]["entities"][0].update(fields=[], variadic=True)
+    with pytest.raises(BenchmarkFormatError, match="has no field"):
+        load_benchmark(_broken(tmp_path, mutate, "gif/running-example.json"))
+
+
 def test_load_rejects_pending_schema_mismatch(tmp_path):
     def mutate(src):
         src["pending"][0]["columns"] = src["pending"][0]["columns"][:-1]
@@ -159,7 +170,9 @@ def test_load_rejects_mixed_actions(tmp_path):
 
 
 @pytest.mark.parametrize("content", [b"[]", b'{"id": "x", "inputs": 5}',
-                                     b"\xff\xfe not utf-8"])
+                                     b"\xff\xfe not utf-8",
+                                     pytest.param(b"[" * 200_000,
+                                                  id="deeply-nested")])
 def test_load_rejects_malformed_file(tmp_path, content):
     p = tmp_path / "broken.json"
     p.write_bytes(content)

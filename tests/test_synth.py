@@ -27,14 +27,14 @@ from tablesynth.synth import (
     _Deadline,
     _Engine,
     _SubsetSource,
-    _rank,
+    _identifying_columns,
     _row_chars,
     generate_hypotheses,
     score_subtable,
     synthesize,
     synthesize_forward_only,
 )
-from tablesynth.table import ColumnType, Id, Schema, Table
+from tablesynth.table import ColumnType, Id, Schema, Table, row_key
 from tablesynth.taskgen import ablation_family, random_task
 
 from conftest import BENCHMARKS, ROOT, SHIFT, SHIFT_SCHEMA
@@ -170,11 +170,12 @@ def test_hypothesis_queue_pinned_with_rank_updates(shift_out, frames_in):
     # complement to the front, and the rest keep their rank order.
     gen = HypothesisGenerator(shift_out, [frames_in], SynthSettings())
     emitted = []
-    while (h := gen.next()) is not None:
+    while (entry := gen.next()) is not None:
+        h = _as_hypothesis(shift_out, entry)
         emitted.append((" ".join(sorted(r[1].label for r in h.rows)),
                         h.score, h.provenance))
         if len(emitted) in (1, 3):
-            gen.update_rank(h)
+            gen.update_rank(entry[1])
     assert emitted == [
         ("f1 f2 f3 f4", 8, "full-table"),
         ("f1 f2 f3", 6, "signature-group"),
@@ -215,6 +216,19 @@ def test_consecutive_runs_decide_a_sweep_task():
 
 
 # -- the generator against its row-set definition ----------------------------
+
+def _rank(h: Hypothesis) -> tuple:
+    """Higher score first, then more rows, then canonical row-set order."""
+    return (-h.score, -len(h.rows), sorted(row_key(r) for r in h.rows))
+
+
+def _as_hypothesis(output, entry) -> Hypothesis:
+    """A hypothesis source's entry ``(key, mask, score, tag)`` as the public
+    ``Hypothesis`` over the rows of ``output`` at its positions."""
+    key, mask, score, tag = entry
+    assert mask == sum(1 << i for i in key[2])
+    return Hypothesis(frozenset(output.rows[i] for i in key[2]), score, tag)
+
 
 def _score_subtable_reference(rows, schema, inputs):
     """``score_subtable`` scored row by row from the values of the list."""
@@ -352,16 +366,22 @@ def test_hypothesis_generator_equals_its_reference(output, inputs, matches,
     # ``matches[k]`` reports a match of the (k+1)-th emission: its
     # complement jumps the queue.
     settings = SynthSettings(hypothesis_bound=bound)
-    drained = []
-    for gen in (HypothesisGenerator(output, inputs, settings),
-                _GeneratorReference(output, inputs, settings)):
-        emitted = []
-        while (h := gen.next()) is not None:
-            emitted.append((h.rows, h.score, h.provenance))
-            if len(emitted) <= len(matches) and matches[len(emitted) - 1]:
-                gen.update_rank(h)
-        drained.append(emitted)
-    assert drained[0] == drained[1]
+    reported = iter(matches)
+    gen = HypothesisGenerator(output, inputs, settings)
+    emitted = []
+    while (entry := gen.next()) is not None:
+        h = _as_hypothesis(output, entry)
+        emitted.append((h.rows, h.score, h.provenance))
+        if next(reported, False):
+            gen.update_rank(entry[1])
+    reported = iter(matches)
+    ref = _GeneratorReference(output, inputs, settings)
+    expected = []
+    while (h := ref.next()) is not None:
+        expected.append((h.rows, h.score, h.provenance))
+        if next(reported, False):
+            ref.update_rank(h)
+    assert emitted == expected
 
 
 # -- row surjections ---------------------------------------------------------
@@ -370,16 +390,21 @@ def _engine(frames_in, shift_out) -> _Engine:
     return _Engine(SynthTask((frames_in,), shift_out, SHIFT))
 
 
+def _maps(eng: _Engine, t: Table, h: Table) -> list:
+    """The row maps ``eng`` reads from t onto h."""
+    return list(eng._surjections(t, h, _identifying_columns(h)))
+
+
 def test_singleton_hypothesis_gets_trivial_surjection(frames_in, shift_out):
     eng = _engine(frames_in, shift_out)
     h = Table("h", SHIFT_SCHEMA, [shift_out.rows[0]])
-    assert list(eng._surjections(frames_in, h)) == [(0, 0, 0, 0)]
+    assert _maps(eng, frames_in, h) == [(0, 0, 0, 0)]
 
 
 def test_id_anchor_surjection(frames_in, shift_out, yield1, odd_u):
     eng = _engine(frames_in, shift_out)
     # ODD_U carries exactly the ids of YIELD1: one anchored surjection.
-    maps = list(eng._surjections(odd_u, yield1))
+    maps = _maps(eng, odd_u, yield1)
     assert len(maps) == 1
     (r,) = maps
     for i, row in enumerate(odd_u.rows):
@@ -389,13 +414,13 @@ def test_id_anchor_surjection(frames_in, shift_out, yield1, odd_u):
 def test_no_anchor_no_match(frames_in, shift_out, yield2, odd_u):
     eng = _engine(frames_in, shift_out)
     # YIELD2's ids are absent from ODD_U, so no surjection survives.
-    assert list(eng._surjections(odd_u, yield2)) == []
+    assert _maps(eng, odd_u, yield2) == []
 
 
 def test_smaller_source_cannot_cover(frames_in, shift_out, odd_u):
     eng = _engine(frames_in, shift_out)
     # A 2-row table has no surjection onto 4 target rows.
-    assert list(eng._surjections(odd_u, shift_out.renamed("h"))) == []
+    assert _maps(eng, odd_u, shift_out.renamed("h")) == []
 
 
 def test_blind_surjections_without_identifying_column():
@@ -407,7 +432,7 @@ def test_blind_surjections_without_identifying_column():
     out = Table("out", fill.output_schema(),
                 [("fill", c, r, k) for r, k, c in sheet.rows])
     eng = _Engine(SynthTask((sheet,), out, fill))
-    assert list(eng._surjections(sheet, out)) == []
+    assert _maps(eng, sheet, out) == []
     result = synthesize(SynthTask((sheet,), out, fill))
     assert result.status == "solved"
     assert exec_program(result.program, [sheet], fill) == out
@@ -428,30 +453,15 @@ def test_long_table_without_identifying_column_solves():
     assert exec_program(result.program, [t], fill) == out
 
 
-def test_row_maps_of_one_engine_equal_a_fresh_engines(
-        frames_in, shift_out, odd_u, even_v, yield1, yield2):
-    # An engine reads a hypothesis table's identifying columns once and
-    # keeps them for the next forward table. ``swap`` is matched through its
-    # Id column and, in the other order, through its two Int columns.
+def test_row_maps_through_an_id_column_and_two_int_columns(
+        frames_in, shift_out):
+    # ``swap`` is matched through its Id column and, in the other order,
+    # through its two Int columns; the second Int column reads the same map.
     k_id = Table("k", Schema([("k", INT), ("id", ID)]),
                  [(1, Id("f1")), (2, Id("f2"))])
     swap = Table("h", SHIFT_SCHEMA, [("shift", Id("f1"), "GB", 2, 2),
                                      ("shift", Id("f2"), "GB", 1, 1)])
-    tables = (frames_in, odd_u, even_v, k_id)
-
-    def fresh(t, h):
-        return list(_engine(frames_in, shift_out)._surjections(t, h))
-
-    eng = _engine(frames_in, shift_out)
-    suspended = eng._surjections(k_id, swap)
-    first = next(suspended)
-    h1_copy = yield1.renamed("y1")  # equal to yield1, a distinct object
-    for h in (yield1, yield2, swap, yield1, h1_copy):
-        for t in tables:
-            assert list(eng._surjections(t, h)) == fresh(t, h), (t, h)
-    # A map stream started before the others were read is unchanged.
-    assert [first, *suspended] == fresh(k_id, swap) == [(0, 1), (1, 0)]
-    assert fresh(odd_u, yield1) == fresh(odd_u, h1_copy) != []
+    assert _maps(_engine(frames_in, shift_out), k_id, swap) == [(0, 1), (1, 0)]
 
 
 # -- end-to-end --------------------------------------------------------------
@@ -544,7 +554,8 @@ def test_forward_only_solves_small_family():
 
 def test_subset_source_yields_each_row_set_once_larger_first(shift_out):
     source = _SubsetSource(shift_out, _Deadline(60))
-    row_sets = [h.rows for h in iter(source.next, None)]
+    row_sets = [_as_hypothesis(shift_out, entry).rows
+                for entry in iter(source.next, None)]
     assert len(set(row_sets)) == len(row_sets) == 2**4 - 1
     assert all(rows and rows <= frozenset(shift_out.rows) for rows in row_sets)
     sizes = [len(rows) for rows in row_sets]
@@ -733,8 +744,7 @@ def test_matching_on_a_fresh_engine_scans_the_inputs():
     # Before run() there is no depth to pull from: only inputs are scanned.
     task = _rename(SynthSettings())
     eng = _Engine(task)
-    h = Hypothesis(frozenset(task.output.rows), 0, "full-table")
-    assert eng.match_hypothesis(h).src == "files"
+    assert eng.match_hypothesis(range(task.output.nrows)).src == "files"
     assert len(eng.entries) == 1
 
 

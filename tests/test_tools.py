@@ -94,3 +94,4 @@ def test_task_records_of_the_parity_baseline(monkeypatch):
     assert record["status"] == "solved" and record["generalized"] is True
     assert [record["forward_tables"], record["hypotheses_tried"],
             record["matches_solved"]] == [4, 8830, 2]
+    assert _search_digest([record]) == "a1ffe964b46cb86f"
