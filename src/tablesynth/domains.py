@@ -268,6 +268,16 @@ def load_benchmark(path) -> BenchmarkCase:
     return benchmark_from_json(read_json_file(path), path)
 
 
+def _json_array(obj, key: str, default=None) -> list:
+    """The field ``key`` of ``obj``, which must be a JSON array; a missing
+    field is ``default``, or a KeyError when there is none."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, list):
+        raise BenchmarkFormatError(f"{key!r} must be a JSON array, "
+                                   f"not {type(value).__name__}")
+    return value
+
+
 def benchmark_from_json(obj, path: Path) -> BenchmarkCase:
     """The benchmark case that ``obj``, parsed from the file ``path``,
     describes. Its reference program is read from the sibling ``.prog``
@@ -275,10 +285,10 @@ def benchmark_from_json(obj, path: Path) -> BenchmarkCase:
     try:
         case_id = obj["id"]
         description = obj.get("description", "")
-        inputs = tuple(table_from_json(t) for t in obj["inputs"])
+        inputs = tuple(table_from_json(t) for t in _json_array(obj, "inputs"))
         output = table_from_json(obj["output"])
-        constants = tuple(value_from_json(v) for v in obj.get("constants", []))
-        pending = tuple(table_from_json(t) for t in obj.get("pending", []))
+        constants = tuple(value_from_json(v) for v in _json_array(obj, "constants", []))
+        pending = tuple(table_from_json(t) for t in _json_array(obj, "pending", []))
         expected = (table_from_json(obj["expected"])
                     if "expected" in obj else None)
         if "domain_spec" in obj:

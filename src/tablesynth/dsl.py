@@ -275,6 +275,12 @@ class ExecState:
 
 def exec_filter(t: Table, predicate: Predicate, name: str = "filtered") -> Table:
     _check_predicate(predicate, t.schema)
+    return _filtered(t, predicate, name)
+
+
+def _filtered(t: Table, predicate: Predicate, name: str) -> Table:
+    """The rows of ``t`` that satisfy a ``predicate`` that ``_check_predicate``
+    accepted over ``t.schema``."""
     rows = [r for r in t.rows if _holds(predicate, r, t.schema)]
     return Table._canonical(name, t.schema, rows)
 
@@ -478,6 +484,12 @@ def exec_yield(state: ExecState, stmt: Yield, action: ActionSignature) -> Table:
     problems = _yield_problems(stmt, t.schema, action)
     if problems:
         raise SchemaError("; ".join(f"yield {message}" for _, message in problems))
+    return _yielded(t, stmt, action)
+
+
+def _yielded(t: Table, stmt: Yield, action: ActionSignature) -> Table:
+    """The action rows of a Yield that ``_yield_problems`` accepted over
+    ``t.schema``."""
     columns = [_projection_values(p, t) for p in stmt.projections]
     rows = {tuple(c[i] for c in columns) for i in range(t.nrows)}
     return Table("yielded", action.output_schema(), rows)
@@ -487,7 +499,9 @@ def exec_program(
     program: Program, inputs: Sequence[Table], action: ActionSignature
 ) -> Table:
     """Run the program over its inputs; returns the union of Yield outputs,
-    named ``out``."""
+    named ``out``. Each statement is type-checked once, by
+    ``validate_program``: a table's schema depends only on its sources'
+    schemas, so the checks on the probe tables hold on the real ones."""
     violations = validate_program(program, [t.schema for t in inputs],
                                   [t.name for t in inputs], action)
     if violations:
@@ -497,13 +511,14 @@ def exec_program(
         state.define(t)
     for i, stmt in enumerate(program.transform):
         try:
-            state.define(exec_transform(state, stmt))
+            state.define(_filtered(state[stmt.src], stmt.predicate, stmt.target)
+                         if isinstance(stmt, Filter) else exec_transform(state, stmt))
         except (SchemaError, FeatureMissError, IntRangeError) as exc:
             raise SchemaError(f"transform statement {i}: {exc}") from exc
     rows = []
     for i, stmt in enumerate(program.mapping):
         try:
-            rows += exec_yield(state, stmt, action).rows
+            rows += _yielded(state[stmt.src], stmt, action).rows
         except (SchemaError, FeatureMissError, IntRangeError) as exc:
             raise SchemaError(f"mapping statement {i}: {exc}") from exc
     return Table("out", action.output_schema(), rows)

@@ -35,6 +35,9 @@ class FeatureFamily(enum.Enum):
     SUBSTRING = "substring"
     CONCAT = "concat"
 
+    # Members are singletons: identity hashing runs in C, Enum.__hash__ does not.
+    __hash__ = object.__hash__
+
 
 def enumerate_feature_families(
     in_types: Sequence[ColumnType], out_type: ColumnType

@@ -4,6 +4,7 @@ Tables are immutable, schema-typed sets of rows. Rows are kept in a canonical
 total order (per-cell ordering, identity tokens compared by label) so that
 iteration, hashing, and serialization are deterministic. Cell values are plain
 ``int`` and ``str`` plus the opaque :class:`Id` token; booleans are rejected.
+Ids are interned, one object per label, so they compare and hash by identity.
 
 The public ``Table(...)`` checks every cell, removes duplicate rows and sorts
 them. ``Table._canonical`` only stores its rows. An operator may pass rows to
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+import threading
+import weakref
 from typing import Iterable, Sequence
 
 from .errors import IntRangeError, RowLookupError, SchemaError
@@ -25,21 +27,62 @@ I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True, order=True, slots=True)
 class Id:
     """Opaque identity token. Equality-comparable; never used in arithmetic
-    or string features. The label ordering is used only for canonicalization."""
+    or string features. The label ordering is used only for canonicalization.
 
-    label: str
+    Ids are interned: ``Id(label)`` returns the one live object per label, so
+    equality and hashing are ``object``'s identity, which run in C."""
+
+    __slots__ = ("label", "__weakref__")
+
+    def __new__(cls, label: str) -> "Id":
+        if not isinstance(label, str):
+            raise SchemaError(f"an Id label must be a string, not {label!r}")
+        with _ID_LOCK:
+            self = _ID_TABLE.get(label)
+            if self is None:
+                self = object.__new__(cls)
+                object.__setattr__(self, "label", label)
+                _ID_TABLE[label] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an Id")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an Id")
+
+    def __reduce__(self):
+        return Id, (self.label,)
+
+    def __lt__(self, other):
+        return self.label < other.label if isinstance(other, Id) else NotImplemented
+
+    def __le__(self, other):
+        return self.label <= other.label if isinstance(other, Id) else NotImplemented
+
+    def __gt__(self, other):
+        return self.label > other.label if isinstance(other, Id) else NotImplemented
+
+    def __ge__(self, other):
+        return self.label >= other.label if isinstance(other, Id) else NotImplemented
 
     def __repr__(self) -> str:
         return f"Id({self.label!r})"
+
+
+_ID_TABLE: "weakref.WeakValueDictionary[str, Id]" = weakref.WeakValueDictionary()
+_ID_LOCK = threading.Lock()
 
 
 class ColumnType(enum.Enum):
     INT = "Int"
     STR = "Str"
     ID = "Id"
+
+    # Members are singletons: identity hashing runs in C, Enum.__hash__ does not.
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -93,7 +136,7 @@ class Schema:
                 raise SchemaError(f"bad column type {t!r}")
         self.columns = cols
         self._index = {n: i for i, (n, _) in enumerate(cols)}
-        # Every seen-table lookup hashes a schema; Enum.__hash__ is Python code.
+        # Every seen-table lookup hashes a schema.
         self._hash = hash(cols)
 
     @property

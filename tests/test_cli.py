@@ -166,16 +166,24 @@ def test_exec_deeply_nested_predicate_exits_1_without_traceback(tmp_path):
     assert proc.stderr.startswith("error: ")
 
 
-def _empty_variadic_entity(path):
-    src = json.loads((BENCHMARKS / "gif" / "running-example.json").read_text())
-    src["domain_spec"]["entities"][0].update(fields=[], variadic=True)
-    path.write_text(json.dumps(src))
+def _running_example_with(mutate):
+    def write(path):
+        src = json.loads((BENCHMARKS / "gif" / "running-example.json").read_text())
+        mutate(src)
+        path.write_text(json.dumps(src))
+    return write
 
 
 @pytest.mark.parametrize("command", ["synth", "exec"])
 @pytest.mark.parametrize("write", [
     pytest.param(lambda path: path.write_text("[" * 200_000), id="deep-json"),
-    pytest.param(_empty_variadic_entity, id="empty-variadic-entity"),
+    pytest.param(_running_example_with(lambda src: src["domain_spec"]["entities"][0]
+                                       .update(fields=[], variadic=True)),
+                 id="empty-variadic-entity"),
+    pytest.param(_running_example_with(lambda src: src.update(constants={"a": 1})),
+                 id="constants-object"),
+    pytest.param(_running_example_with(lambda src: src.update(constants="ab")),
+                 id="constants-string"),
 ])
 def test_bad_benchmark_file_exits_1_without_traceback(tmp_path, command, write):
     path = tmp_path / "case.json"

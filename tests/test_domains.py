@@ -169,6 +169,14 @@ def test_load_rejects_mixed_actions(tmp_path):
         load_benchmark(_broken(tmp_path, mutate))
 
 
+@pytest.mark.parametrize("key, value", [("constants", {"a": 1}), ("constants", "ab"),
+                                        ("inputs", {"ti": 1}), ("pending", "ti")])
+def test_load_rejects_a_list_field_that_is_not_an_array(tmp_path, key, value):
+    with pytest.raises(BenchmarkFormatError, match=f"'{key}' must be a JSON array"):
+        load_benchmark(_broken(tmp_path, lambda src: src.update({key: value}),
+                               "gif/running-example.json"))
+
+
 @pytest.mark.parametrize("content", [b"[]", b'{"id": "x", "inputs": 5}',
                                      b"\xff\xfe not utf-8",
                                      pytest.param(b"[" * 200_000,

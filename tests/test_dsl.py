@@ -6,6 +6,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from tablesynth import dsl
+from tablesynth.domains import load_benchmark
 from tablesynth.dsl import (
     AGGREGATIONS,
     PREDICATE_SYMBOLS,
@@ -36,11 +38,11 @@ from tablesynth.dsl import (
 )
 from tablesynth.errors import IntRangeError, SchemaError, ValidationFailure
 from tablesynth.features import ExtractSpec, TokenClass, linear, substring, sum_feature
-from tablesynth.progtext import parse_feature
+from tablesynth.progtext import parse_feature, parse_program
 from tablesynth.synth import SynthTask, _atoms, _Engine
 from tablesynth.table import ColumnType, Id, Schema, Table
 
-from conftest import FRAME_SCHEMA, SHIFT
+from conftest import BENCHMARKS, FRAME_SCHEMA, SHIFT
 
 INT = ColumnType.INT
 STR = ColumnType.STR
@@ -459,6 +461,25 @@ def _running_program() -> Program:
 def test_exec_program_running_example(frames_in, shift_out):
     out = exec_program(_running_program(), [frames_in], SHIFT)
     assert out == shift_out
+
+
+def test_exec_program_type_checks_each_statement_once(monkeypatch):
+    case = load_benchmark(BENCHMARKS / "gif" / "running-example.json")
+    program = parse_program(case.reference_program)
+    calls = {"_yield_problems": 0, "_check_predicate": 0}
+
+    def counted(name):
+        check = getattr(dsl, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return check(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dsl, name, counted(name))
+    assert exec_program(program, case.inputs, case.action) == case.output
+    assert calls == {"_yield_problems": 2, "_check_predicate": 2}
 
 
 def test_exec_program_multiple_inputs_schema_env():

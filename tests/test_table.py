@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
+from tablesynth import table
+from tablesynth.dsl import ConstP, Program, Yield
 from tablesynth.errors import (
     IntRangeError,
     RowLookupError,
@@ -27,6 +35,8 @@ from tablesynth.table import (
     type_of,
     union,
 )
+from tablesynth.features import FeatureFamily
+from tablesynth.progtext import format_program, parse_program
 
 INT = ColumnType.INT
 STR = ColumnType.STR
@@ -41,6 +51,97 @@ def test_type_of():
         type_of(True)  # bools are not Int values
     with pytest.raises(SchemaError):
         type_of(3.5)
+
+
+def test_id_is_one_object_per_label():
+    a = Id("a")
+    assert Id("a") is a
+    assert Id("a") == a and hash(Id("a")) == hash(a)
+    assert a != Id("b")
+    assert a != "a" and "a" != a  # an Id is not its label
+    assert repr(a) == "Id('a')"
+
+
+def test_ids_order_by_label():
+    assert sorted([Id("c"), Id("a"), Id("b")]) == [Id("a"), Id("b"), Id("c")]
+    assert Id("a") < Id("b") <= Id("b") and Id("c") > Id("b") >= Id("b")
+    with pytest.raises(TypeError):
+        Id("a") < "b"
+
+
+def test_id_is_immutable_and_needs_a_string_label():
+    a = Id("a")
+    with pytest.raises(AttributeError):
+        a.label = "b"
+    with pytest.raises(AttributeError):
+        a.other = 1
+    with pytest.raises(AttributeError):
+        del a.label
+    assert a.label == "a"
+    with pytest.raises(SchemaError):
+        Id(5)
+
+
+def test_id_copies_are_the_interned_object():
+    a = Id("a")
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert copy.deepcopy([a, (a,)]) == [a, (a,)]
+
+
+def test_id_round_trips_through_json_and_program_text():
+    t = Table("t", Schema([("id", ID)]), [(Id("e1"),)])
+    assert loads_table(dumps_table(t)).rows[0][0] is Id("e1")
+    program = Program((), (Yield("t", (ConstP("act"), ConstP(Id("e7")))),))
+    parsed = parse_program(format_program(program))
+    assert parsed == program
+    assert parsed.mapping[0].projections[1].value is Id("e7")
+
+
+def test_an_unreferenced_id_leaves_the_intern_table():
+    label = "only-in-this-test"
+    Id(label)
+    gc.collect()
+    assert label not in table._ID_TABLE
+    a = Id(label)
+    assert table._ID_TABLE[label] is a
+
+
+def test_threads_building_the_same_labels_share_objects():
+    rounds = [[f"thread-{r}-{i}" for i in range(50)] for r in range(20)]
+    built = [[] for _ in range(4)]
+    start = threading.Barrier(4, timeout=10)
+
+    def build(k):
+        for labels in rounds:  # each round starts together, on fresh labels
+            start.wait()
+            built[k] += [Id(label) for label in labels]
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for ids in built:
+        assert [x.label for x in ids] == [label for labels in rounds for label in labels]
+        assert all(x is y for x, y in zip(ids, built[0]))
+
+
+def test_hot_value_types_hash_in_c():
+    # Identity hashing: the interpreter's own slot, no Python frame per hash.
+    assert Id.__hash__ is object.__hash__
+    assert ColumnType.__hash__ is object.__hash__
+    assert FeatureFamily.__hash__ is object.__hash__
+    for member in (*ColumnType, *FeatureFamily):
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert copy.deepcopy(member) is member
 
 
 def test_check_int_range():
