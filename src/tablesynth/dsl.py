@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import IntRangeError, SchemaError, ValidationFailure
 from .features import FAMILIES, FeatureInstance, apply_feature, FeatureMissError
-from .table import ColumnType, Schema, Table, Value, check_int, type_of
+from .table import ColumnType, Schema, Table, Value, check_int, row_key, type_of
 
 # ---------------------------------------------------------------------------
 # Predicates.
@@ -515,13 +515,15 @@ def exec_program(
                          if isinstance(stmt, Filter) else exec_transform(state, stmt))
         except (SchemaError, FeatureMissError, IntRangeError) as exc:
             raise SchemaError(f"transform statement {i}: {exc}") from exc
-    rows = []
+    rows = set()
     for i, stmt in enumerate(program.mapping):
         try:
-            rows += _yielded(state[stmt.src], stmt, action).rows
+            rows.update(_yielded(state[stmt.src], stmt, action).rows)
         except (SchemaError, FeatureMissError, IntRangeError) as exc:
             raise SchemaError(f"mapping statement {i}: {exc}") from exc
-    return Table("out", action.output_schema(), rows)
+    # Each Yield's rows were checked in its own table: only sort the union.
+    return Table._canonical("out", action.output_schema(),
+                            sorted(rows, key=row_key))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from __future__ import annotations
 import enum
 import heapq
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -53,12 +55,37 @@ def enumerate_feature_families(
 # Token classes and substring extraction.
 
 
-@dataclass(frozen=True)
 class TokenClass:
-    """One character class; ``kind`` is a name or 'Punct' with a single char."""
+    """One character class; ``kind`` is a name or 'Punct' with a single char.
 
-    kind: str
-    char: str = ""
+    Token classes are interned: ``TokenClass(kind, char)`` returns the one
+    live object per ``(kind, char)``, so equality and hashing are
+    ``object``'s identity, which run in C. ``pattern()`` rejects a kind
+    that names no class."""
+
+    __slots__ = ("kind", "char", "__weakref__")
+
+    def __new__(cls, kind: str, char: str = "") -> "TokenClass":
+        with _TOKEN_LOCK:
+            self = _TOKEN_TABLE.get((kind, char))
+            if self is None:
+                self = object.__new__(cls)
+                object.__setattr__(self, "kind", kind)
+                object.__setattr__(self, "char", char)
+                _TOKEN_TABLE[kind, char] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a TokenClass")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a TokenClass")
+
+    def __reduce__(self):
+        return TokenClass, (self.kind, self.char)
+
+    def __repr__(self) -> str:
+        return f"TokenClass(kind={self.kind!r}, char={self.char!r})"
 
     def pattern(self) -> str:
         base = _TOKEN_PATTERNS.get(self.kind)
@@ -71,6 +98,11 @@ class TokenClass:
 
     def __str__(self) -> str:
         return f"'{self.char}'" if self.kind == "Punct" else self.kind
+
+
+_TOKEN_TABLE: "weakref.WeakValueDictionary[tuple[str, str], TokenClass]" = (
+    weakref.WeakValueDictionary())
+_TOKEN_LOCK = threading.Lock()
 
 
 #: kind -> character pattern, in ranking order: specific numeric runs first,
@@ -384,19 +416,25 @@ def _extractions(classes: Sequence[TokenClass], texts: Sequence[str]):
     maximal-run sequence and are skipped.
 
     A match of ``(t1..tL)`` starts with a match of ``(t1..tL-1)`` at the
-    same position, so a sequence with no match on some text has no
-    extension with one. Length L is grown only from the length L-1
-    sequences that matched on every text; each of those scans each text
-    once. Occurrence k exists on every text when it exists on the one with
-    the fewest matches, so the occurrences are read from that count."""
+    same position and contains, where ``t2`` starts, a match of
+    ``(t2..tL)``. So a sequence with no match on some text has no extension
+    with one on either side, and only the sequences of length L - 1 that
+    matched on every text are live. A sequence of length L is scanned only
+    when its prefix and its suffix are both live; each scan reads each text
+    once, and skips only sequences that match nothing. Occurrence k exists
+    on every text when it exists on the one with the fewest matches, so the
+    occurrences are read from that count."""
     live = [()]
     for _ in range(MAX_TOKENS):
+        alive = set(live)
         grown = []
         for prefix in live:
             for c in classes:
-                if prefix and c == prefix[-1]:
+                if prefix and c is prefix[-1]:
                     continue
                 tokens = prefix + (c,)
+                if tokens[1:] not in alive:
+                    continue
                 pattern = _compiled(tokens)
                 found = [pattern.findall(t) for t in texts]
                 if not all(found):

@@ -148,6 +148,9 @@ class SynthStats:
     elapsed_ms: int = 0
     forward_tables: int = 0
     hypotheses_tried: int = 0
+    #: Entries left in a depth's hypothesis queue when the bound ended its
+    #: loop: row sets the search never tried to match.
+    hypotheses_untried: int = 0
     matches_solved: int = 0
     mode: str = "bi"
 
@@ -300,6 +303,10 @@ class HypothesisGenerator:
         self.emitted += 1
         return self.queue.pop(0)
 
+    def untried(self) -> int:
+        """Entries the bound keeps from being handed out."""
+        return len(self.queue)
+
     def update_rank(self, mask: int):
         complement = self.full & ~mask
         self.queue = [e for e in self.queue if e[1] != complement]
@@ -329,6 +336,9 @@ class _SubsetSource:
 
     def update_rank(self, mask: int):
         pass
+
+    def untried(self) -> int:
+        return 0  # unbounded: a depth's loop drains it
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +685,7 @@ class _Engine:
                     if cover:  # an empty output's empty cover is no program
                         program = self.assemble_program(cover)
                         return self._finish("solved", program, start)
+                self.stats.hypotheses_untried += source.untried()
                 self.expand()
             return self._finish("exhausted", None, start)
         except _SearchTimeout:

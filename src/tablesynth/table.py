@@ -8,9 +8,10 @@ Ids are interned, one object per label, so they compare and hash by identity.
 
 The public ``Table(...)`` checks every cell, removes duplicate rows and sorts
 them. ``Table._canonical`` only stores its rows. An operator may pass rows to
-it only when it derives them, in canonical order, from a checked table (a
-subsequence of its rows, nested pairs of two tables' rows, or its rows with
-cells appended), and it type-checks every cell it computes.
+it only when it derives them, in canonical order, from checked tables (a
+subsequence of one table's rows, nested pairs of two tables' rows, a table's
+rows with cells appended, or the distinct rows of tables of one schema
+sorted by ``row_key``), and it type-checks every cell it computes.
 """
 
 from __future__ import annotations

@@ -44,7 +44,8 @@ def test_synth_stops_keeping_tables_at_the_first_match(capsys):
     _, err = capsys.readouterr()
     assert code == EXIT_SOLVED
     stats = json.loads(err.strip().splitlines()[-1])
-    assert (stats["forward_tables"], stats["hypotheses_tried"]) == (23, 1)
+    assert (stats["forward_tables"], stats["hypotheses_tried"],
+            stats["hypotheses_untried"]) == (23, 1, 0)
 
 
 def test_synth_both_modes(capsys):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from tablesynth import dsl
+from tablesynth import dsl, table
 from tablesynth.domains import load_benchmark
 from tablesynth.dsl import (
     AGGREGATIONS,
@@ -478,8 +478,21 @@ def test_exec_program_type_checks_each_statement_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(dsl, name, counted(name))
+    type_of = table.type_of
+    cells = []
+
+    def counted_type_of(value):
+        cells.append(value)
+        return type_of(value)
+
+    monkeypatch.setattr(table, "type_of", counted_type_of)
+    monkeypatch.setattr(dsl, "type_of", counted_type_of)
     assert exec_program(program, case.inputs, case.action) == case.output
     assert calls == {"_yield_problems": 2, "_check_predicate": 2}
+    # The output's 20 cells are typed once, in their Yield's table; the
+    # union of the Yields' rows is not checked again.
+    assert case.output.nrows * len(case.output.schema) == 20
+    assert len(cells) == 24
 
 
 def test_exec_program_multiple_inputs_schema_env():

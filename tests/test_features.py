@@ -3,9 +3,14 @@ randomized solver-recovery checks."""
 
 from __future__ import annotations
 
+import copy
+import gc
 import hashlib
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -316,10 +321,88 @@ def test_extractions_never_scan_a_dead_prefix(monkeypatch):
     monkeypatch.setattr(features, "_compiled", counting)
     assert list(_extractions(_token_classes(texts), texts))
     assert max(map(len, scanned)) == MAX_TOKENS
+    # Every sequence scanned has a live prefix and a live suffix. Growing
+    # from live prefixes alone scans 85.
+    assert len(scanned) == 34
     for tokens in scanned:
-        prefix = tokens[:-1]
-        assert not prefix or all(compiled(prefix).search(t) for t in texts), \
-            tokens
+        for part in tokens[:-1], tokens[1:]:
+            assert not part or all(compiled(part).search(t) for t in texts), \
+                tokens
+
+
+# -- token classes -----------------------------------------------------------
+
+def test_token_class_is_one_object_per_kind_and_char():
+    lower = TokenClass("Lower")
+    assert TokenClass("Lower") is lower and TokenClass("Lower", "") is lower
+    assert TokenClass("Punct", ".") is TokenClass("Punct", ".")
+    assert TokenClass("Punct", ".") != TokenClass("Punct", "-")
+    assert lower != TokenClass("Upper")
+    assert TokenClass.__hash__ is object.__hash__
+    assert repr(lower) == "TokenClass(kind='Lower', char='')"
+    assert repr(TokenClass("Punct", ".")) == "TokenClass(kind='Punct', char='.')"
+    with pytest.raises(TypeError):
+        lower < TokenClass("Upper")
+
+
+def test_token_class_copies_are_the_interned_object():
+    dot = TokenClass("Punct", ".")
+    assert pickle.loads(pickle.dumps(dot)) is dot
+    assert copy.copy(dot) is dot
+    assert copy.deepcopy(dot) is dot
+    spec = ExtractSpec((ALNUM, dot), -1)
+    assert pickle.loads(pickle.dumps(spec)).tokens[1] is dot
+    assert copy.deepcopy(spec) == spec
+
+
+def test_token_class_is_immutable_and_checked_by_its_pattern():
+    dot = TokenClass("Punct", ".")
+    with pytest.raises(AttributeError):
+        dot.char = "-"
+    with pytest.raises(AttributeError):
+        dot.other = 1
+    with pytest.raises(AttributeError):
+        del dot.kind
+    assert (dot.kind, dot.char) == ("Punct", ".")
+    for bad in TokenClass("Bogus"), TokenClass("Punct"), TokenClass("Punct", "ab"):
+        with pytest.raises(SchemaError):
+            bad.pattern()
+
+
+def test_an_unreferenced_token_class_leaves_the_intern_table():
+    key = ("Punct", "\u2603")
+    TokenClass(*key)
+    gc.collect()
+    assert key not in features._TOKEN_TABLE
+    snowman = TokenClass(*key)
+    assert features._TOKEN_TABLE[key] is snowman
+
+
+def test_threads_building_the_same_token_classes_share_objects():
+    # Fresh Punct chars each round, far from any other test's.
+    rounds = [[chr(0x4E00 + 50 * r + i) for i in range(50)] for r in range(20)]
+    built = [[] for _ in range(4)]
+    start = threading.Barrier(4, timeout=10)
+
+    def build(k):
+        for chars in rounds:  # each round starts together, on fresh chars
+            start.wait()
+            built[k] += [TokenClass("Punct", c) for c in chars]
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for classes in built:
+        assert [t.char for t in classes] == [c for chars in rounds for c in chars]
+        assert all(x is y for x, y in zip(classes, built[0]))
 
 
 # -- randomized recovery -----------------------------------------------------

@@ -195,6 +195,21 @@ def test_hypothesis_queue_pinned_with_rank_updates(shift_out, frames_in):
     ]
 
 
+def test_untried_hypotheses_are_counted_where_the_bound_cuts():
+    # The depth-1 sweep: a task ends exhausted with row sets its hypothesis
+    # bound kept from matching; a solved task stops before a bound cuts.
+    rng = random.Random(404)
+    untried = {}
+    for i in range(200):
+        task, _ = random_task(rng, SynthSettings(max_depth=1))
+        result = synthesize(task)
+        untried[i] = (result.status, result.stats.hypotheses_untried)
+    assert all(n == 0 for status, n in untried.values() if status == "solved")
+    cut = [i for i, (_, n) in untried.items() if n]
+    assert [untried[i][0] for i in cut] == ["exhausted"] * 7
+    assert sum(n for _, n in untried.values()) == 270
+
+
 def test_consecutive_runs_decide_a_sweep_task():
     # Draw 116 of the depth-1 sweep splits ``num`` at 10. The third
     # hypothesis is the consecutive run num = 4, 5 (the rows below 10). Its
