@@ -352,17 +352,47 @@ def solve_sum(triples: Sequence[tuple[int, int, int]]) -> Optional[FeatureInstan
     return inst if _fits(inst, triples) else None
 
 
+def _div_range(pairs: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    """The divisors in ``[2, DIV_MAX_DIVIDEND]`` at which each pair's
+    interval for b meets the first pair's, as ``(lo, hi)``, or None when
+    there is none.
+
+    With dx = x - x0 and dy = y - y0, the two intervals meet iff
+    |d*dy - dx| <= d - 1, that is d*(dy - 1) <= dx - 1 and
+    d*(-dy - 1) <= -dx - 1. Each inequality d*a <= c keeps a half-line of
+    d, every d or none."""
+    (x0, y0), lo, hi = pairs[0], 2, DIV_MAX_DIVIDEND
+    for x, y in pairs[1:]:
+        dx, dy = x - x0, y - y0
+        for a, c in ((dy - 1, dx - 1), (-dy - 1, -dx - 1)):
+            if a > 0:
+                hi = min(hi, c // a)
+            elif a < 0:
+                lo = max(lo, -(c // -a))
+            elif c < 0:
+                return None
+        if lo > hi:
+            return None
+    return lo, hi
+
+
 def solve_div(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
     """Fit y = floor((x + b) / d) by interval intersection over b for each d.
 
     Each pair constrains b to [d*y - x, d*y - x + d - 1]. The first nonempty
-    intersection (smallest d, then smallest feasible b) wins. Bounds only
-    tighten, so a divisor is dropped at its first empty intersection.
+    intersection (smallest d, then smallest feasible b) wins. The scan runs
+    over ``_div_range`` only: a divisor outside it leaves some pair's
+    interval disjoint from the first pair's, so the winner is the same as
+    over every d in [2, DIV_MAX_DIVIDEND]. Bounds only tighten, so a divisor
+    is dropped at its first empty intersection.
     """
     if len(pairs) < 2:
         return None
+    bounds = _div_range(pairs)
+    if bounds is None:
+        return None
     (x0, y0), rest = pairs[0], pairs[1:]
-    for d in range(2, DIV_MAX_DIVIDEND + 1):
+    for d in range(bounds[0], bounds[1] + 1):
         lo = d * y0 - x0
         hi = lo + d - 1
         for x, y in rest:
@@ -379,11 +409,16 @@ def solve_div(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
 
 
 def solve_mod(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
-    """Fit y = (x + b1) mod d + b2 with d in [2, 10], b1 in [0, d)."""
+    """Fit y = (x + b1) mod d + b2 with d in [2, 10], b1 in [0, d).
+
+    Every output lies in [b2, b2 + d - 1], so no d below the outputs' span
+    plus one fits: the scan starts there, and there is none when that is
+    above 10."""
     if len(pairs) < 2:
         return None
     (x1, y1), rest = pairs[0], pairs[1:]
-    for d in range(2, 11):
+    ys = [y for _, y in pairs]
+    for d in range(max(2, max(ys) - min(ys) + 1), 11):
         for b1 in range(d):
             b2 = y1 - (x1 + b1) % d
             # The pairs are tested inline; an instance is built only for a

@@ -554,9 +554,9 @@ class _Engine:
                        r: tuple[int, ...]) -> Optional[tuple[Projection, ...]]:
         """Find one projection per output column reproducing h under r."""
         projections: list[Projection] = [ConstP(self.task.action.name)]
-        for j in range(1, len(h.schema)):
-            want = tuple(h.rows[r[i]][j] for i in range(t.nrows))
-            found = self._solve_column(t, h.schema.columns[j][1], want)
+        for name, ty in h.schema.columns[1:]:
+            want = tuple(map(h.column(name).__getitem__, r))
+            found = self._solve_column(t, ty, want)
             if found is None:
                 return None
             projections.append(found)

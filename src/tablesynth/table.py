@@ -177,10 +177,11 @@ class Table:
     construction. Equality and hashing ignore the name: two tables are equal
     iff they have the same schema and the same row set. Equal row sets are
     equal ``rows`` tuples because the canonical order is total, so both
-    compare ``(schema, rows)``.
+    compare ``(schema, rows)``. ``column`` keeps the columns it builds in one
+    more slot, which equality, hashing and pickling leave out.
     """
 
-    __slots__ = ("name", "schema", "rows")
+    __slots__ = ("name", "schema", "rows", "_columns")
 
     def __init__(self, name: str, schema: Schema, rows: Iterable[Sequence[Value]]):
         self.name = str(name)
@@ -232,9 +233,22 @@ class Table:
         return f"Table({self.name!r}, {self.nrows} rows, {self.schema!r})"
 
     def column(self, name: str) -> tuple[Value, ...]:
-        """All values of one column, in canonical row order."""
+        """All values of one column, in canonical row order.
+
+        The first call transposes every row into a tuple per column and
+        keeps them; a later call returns the kept tuple. A table without
+        rows has ``()`` for every column."""
         i = self.schema.index(name)
-        return tuple(row[i] for row in self.rows)
+        try:
+            columns = self._columns
+        except AttributeError:
+            columns = self._columns = (tuple(zip(*self.rows)) if self.rows
+                                       else ((),) * len(self.schema))
+        return columns[i]
+
+    def __getstate__(self):
+        # The column cache is rebuilt on first use, not copied or pickled.
+        return None, {"name": self.name, "schema": self.schema, "rows": self.rows}
 
     def renamed(self, name: str) -> "Table":
         return Table._canonical(name, self.schema, self.rows)

@@ -442,18 +442,25 @@ def test_solve_div_is_consistent_randomized():
 
 # -- integer solvers against their plain definitions -------------------------
 
+def _div_interval(pairs, d):
+    """The interval ``(lo, hi)`` of offsets b that fit every pair at divisor
+    ``d``; empty when ``lo > hi``."""
+    lo, hi = None, None
+    for x, y in pairs:
+        plo = d * y - x
+        phi = plo + d - 1
+        lo = plo if lo is None else max(lo, plo)
+        hi = phi if hi is None else min(hi, phi)
+    return lo, hi
+
+
 def _solve_div_reference(pairs):
     """``solve_div`` without the early exit: every pair narrows every
     divisor's interval before the interval is tested."""
     if len(pairs) < 2:
         return None
     for d in range(2, features.DIV_MAX_DIVIDEND + 1):
-        lo, hi = None, None
-        for x, y in pairs:
-            plo = d * y - x
-            phi = plo + d - 1
-            lo = plo if lo is None else max(lo, plo)
-            hi = phi if hi is None else min(hi, phi)
+        lo, hi = _div_interval(pairs, d)
         if lo <= hi:
             return div(lo, d)
     return None
@@ -508,6 +515,45 @@ def test_solve_div_equals_its_definition(pairs):
 @given(_int_pairs())
 def test_solve_mod_equals_its_definition(pairs):
     assert solve_mod(pairs) == _solve_mod_reference(pairs)
+
+
+@given(_int_pairs())
+def test_the_divisor_bound_skips_only_divisors_that_fit_no_offset(pairs):
+    if len(pairs) < 2:
+        return
+    bounds = features._div_range(pairs)
+    for d in range(2, features.DIV_MAX_DIVIDEND + 1):
+        if bounds is None or not bounds[0] <= d <= bounds[1]:
+            lo, hi = _div_interval(pairs, d)
+            assert lo > hi, d
+
+
+def test_the_divisor_bound_of_worked_examples():
+    # Outputs that fall as x rises admit no divisor.
+    assert features._div_range([(1, 5), (2, 4)]) is None
+    # Equal inputs need equal outputs.
+    assert features._div_range([(3, 1), (3, 2)]) is None
+    # y rises by 1 over 10: d*0 <= 9 and d*2 >= 11, so d >= 6.
+    assert features._div_range([(0, 0), (10, 1)]) == (6, features.DIV_MAX_DIVIDEND)
+    # y rises by 3 over 10: d*2 <= 9 and d*4 >= 11, so 3 <= d <= 4.
+    assert features._div_range([(0, 0), (10, 3)]) == (3, 4)
+    assert solve_div([(0, 0), (10, 3)]) == div(0, 3)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_solve_mod_starts_at_the_outputs_span(d):
+    # x = 0..d-1 reaches every residue, so the outputs span exactly d - 1
+    # and the smallest divisor that fits is d itself.
+    pairs = [(x, (x + 1) % d - 5) for x in range(d)]
+    f = solve_mod(pairs)
+    assert f is not None and f.params[2] == d
+    assert all(apply_feature(f, (x,)) == y for x, y in pairs)
+
+
+def test_solve_mod_rejects_outputs_spanning_more_than_nine():
+    assert solve_mod([(0, 0), (1, 10)]) is None
+    assert solve_mod([(x, x) for x in range(11)]) is None
+    assert solve_mod([(x, x) for x in range(10)]) == mod(0, 0, 10)
 
 
 def test_solve_mod_rejects_an_out_of_range_output():

@@ -291,3 +291,40 @@ def test_row_order_is_canonical(rows):
     t = Table("t", s, rows)
     assert Table("t", s, reversed(rows)) == t
     assert table_from_json(table_to_json(t)).rows == t.rows
+
+
+# -- the column cache ----------------------------------------------------------
+
+def _tables_of(rows):
+    """A public table over ``rows``, the same rows through ``_canonical`` and
+    ``renamed``, and a table without rows."""
+    t = Table("t", _MIXED, rows)
+    return [t, Table._canonical("c", _MIXED, t.rows), t.renamed("r"),
+            Table("e", _MIXED, [])]
+
+
+@given(_mixed_rows_st)
+def test_a_column_is_the_rows_read_down_and_kept(rows):
+    for t in _tables_of(rows):
+        for i, name in enumerate(t.schema.names):
+            col = t.column(name)
+            assert col == tuple(r[i] for r in t.rows)
+            assert t.column(name) is col
+    with pytest.raises(SchemaError):
+        t.column("z")
+
+
+def test_the_column_cache_is_not_table_state():
+    rows = [(Id("a"), 1, "x"), (Id("b"), 2, "y")]
+    read, unread = Table("t", _MIXED, rows), Table("t", _MIXED, rows)
+    assert read.column("n") == (1, 2)
+    assert not hasattr(read, "__dict__")
+    assert read == unread and hash(read) == hash(unread)
+    assert pickle.dumps(read) == pickle.dumps(unread)
+    for other in (pickle.loads(pickle.dumps(read)), copy.copy(read),
+                  copy.deepcopy(read)):
+        assert other == read and other.name == read.name
+        assert other.rows == read.rows and other.column("s") == ("x", "y")
+    # Equality and hashing never read the cache, even a wrong one.
+    read._columns = ((), (), ())
+    assert read == unread and hash(read) == hash(unread)
