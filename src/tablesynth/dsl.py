@@ -372,6 +372,9 @@ def exec_order(
     ty = t.schema.type_of(col)
     if ty is ColumnType.ID:
         raise SchemaError(f"cannot order on Id column {col!r}")
+    # Checked before any row, so the validator's empty-table probe sees it;
+    # ``_with_int_columns`` range-checks every rank.
+    check_int(c_start)
     ci = t.schema.index(col)
     gi = t.schema.index(col_index) if col_index is not None else None
 
@@ -392,7 +395,7 @@ def exec_order(
             smaller = len(vs) - bisect.bisect_right(vs, row[ci])
         else:
             smaller = bisect.bisect_left(vs, row[ci])
-        ranks.append(check_int(c_start + smaller))
+        ranks.append(c_start + smaller)
     return _with_int_columns(t, [(f"ord_{col}", ranks)], name)
 
 

@@ -11,7 +11,9 @@ pairs they return the same instance, with documented tie-breaking
 (smallest dividend, fewest tokens, fewest segments).
 
 Integer semantics: div floors toward minus infinity and mod returns a value
-in [0, d), so interpretation and solving agree on negative operands.
+in [0, d), so interpretation and solving agree on negative operands. The
+integer families' constructors reject a parameter outside the signed 64-bit
+range with IntRangeError, and the solvers treat such an instance as no fit.
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ from __future__ import annotations
 import enum
 import heapq
 import re
-import threading
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import FeatureMissError, IntRangeError, SchemaError
-from .table import ColumnType, Value, check_int
+from .table import ColumnType, Interned, Value, check_int
 
 
 class FeatureFamily(enum.Enum):
@@ -55,34 +55,15 @@ def enumerate_feature_families(
 # Token classes and substring extraction.
 
 
-class TokenClass:
+class TokenClass(Interned):
     """One character class; ``kind`` is a name or 'Punct' with a single char.
+    Interned: ``TokenClass(kind, char)`` returns the one live object per
+    ``(kind, char)``. ``pattern()`` rejects a kind that names no class."""
 
-    Token classes are interned: ``TokenClass(kind, char)`` returns the one
-    live object per ``(kind, char)``, so equality and hashing are
-    ``object``'s identity, which run in C. ``pattern()`` rejects a kind
-    that names no class."""
-
-    __slots__ = ("kind", "char", "__weakref__")
+    __slots__ = ("kind", "char")
 
     def __new__(cls, kind: str, char: str = "") -> "TokenClass":
-        with _TOKEN_LOCK:
-            self = _TOKEN_TABLE.get((kind, char))
-            if self is None:
-                self = object.__new__(cls)
-                object.__setattr__(self, "kind", kind)
-                object.__setattr__(self, "char", char)
-                _TOKEN_TABLE[kind, char] = self
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a TokenClass")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a TokenClass")
-
-    def __reduce__(self):
-        return TokenClass, (self.kind, self.char)
+        return Interned.__new__(cls, kind, char)
 
     def __repr__(self) -> str:
         return f"TokenClass(kind={self.kind!r}, char={self.char!r})"
@@ -98,11 +79,6 @@ class TokenClass:
 
     def __str__(self) -> str:
         return f"'{self.char}'" if self.kind == "Punct" else self.kind
-
-
-_TOKEN_TABLE: "weakref.WeakValueDictionary[tuple[str, str], TokenClass]" = (
-    weakref.WeakValueDictionary())
-_TOKEN_LOCK = threading.Lock()
 
 
 #: kind -> character pattern, in ranking order: specific numeric runs first,
@@ -231,13 +207,13 @@ class FeatureInstance:
 
 
 def linear(a: int, b: int) -> FeatureInstance:
-    return FeatureInstance(FeatureFamily.LINEAR, (a, b))
+    return FeatureInstance(FeatureFamily.LINEAR, (check_int(a), check_int(b)))
 
 
 def div(b: int, d: int) -> FeatureInstance:
     if d < 2:
         raise SchemaError("div dividend must be >= 2")
-    return FeatureInstance(FeatureFamily.DIV, (b, d))
+    return FeatureInstance(FeatureFamily.DIV, (check_int(b), check_int(d)))
 
 
 def mod(b1: int, b2: int, d: int) -> FeatureInstance:
@@ -245,11 +221,11 @@ def mod(b1: int, b2: int, d: int) -> FeatureInstance:
         raise SchemaError("mod dividend must be in [2, 10]")
     if not 0 <= b1 < d:
         raise SchemaError("mod offset b1 must be in [0, d)")
-    return FeatureInstance(FeatureFamily.MOD, (b1, b2, d))
+    return FeatureInstance(FeatureFamily.MOD, (b1, check_int(b2), d))
 
 
 def sum_feature(b: int) -> FeatureInstance:
-    return FeatureInstance(FeatureFamily.SUM, (b,))
+    return FeatureInstance(FeatureFamily.SUM, (check_int(b),))
 
 
 def substring(spec: ExtractSpec) -> FeatureInstance:
@@ -313,6 +289,15 @@ MAX_LITERAL_LEN = 20
 # Integer solvers.
 
 
+def _instance(make, *params) -> Optional[FeatureInstance]:
+    """``make(*params)``, or None when a parameter is outside the 64-bit
+    range: the solvers treat such an instance as no fit."""
+    try:
+        return make(*params)
+    except IntRangeError:
+        return None
+
+
 def _fits(inst: FeatureInstance, cases: Sequence[tuple[int, ...]]) -> bool:
     """Whether ``inst`` maps each case's inputs to its last item; a value
     outside the 64-bit range is a misfit."""
@@ -338,8 +323,8 @@ def solve_linear(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
         return None
     a = (y2 - y1) // (x2 - x1)
     b = y1 - a * x1
-    inst = linear(a, b)
-    return inst if _fits(inst, pairs) else None
+    inst = _instance(linear, a, b)
+    return inst if inst is not None and _fits(inst, pairs) else None
 
 
 def solve_sum(triples: Sequence[tuple[int, int, int]]) -> Optional[FeatureInstance]:
@@ -348,8 +333,8 @@ def solve_sum(triples: Sequence[tuple[int, int, int]]) -> Optional[FeatureInstan
         return None
     x0, y0, out0 = triples[0]
     b = out0 - x0 - y0
-    inst = sum_feature(b)
-    return inst if _fits(inst, triples) else None
+    inst = _instance(sum_feature, b)
+    return inst if inst is not None and _fits(inst, triples) else None
 
 
 def _div_range(pairs: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
@@ -380,7 +365,8 @@ def solve_div(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
     """Fit y = floor((x + b) / d) by interval intersection over b for each d.
 
     Each pair constrains b to [d*y - x, d*y - x + d - 1]. The first nonempty
-    intersection (smallest d, then smallest feasible b) wins. The scan runs
+    intersection (smallest d, then smallest feasible b) wins, unless that b
+    is outside the 64-bit range: the scan then moves to the next d. It runs
     over ``_div_range`` only: a divisor outside it leaves some pair's
     interval disjoint from the first pair's, so the winner is the same as
     over every d in [2, DIV_MAX_DIVIDEND]. Bounds only tighten, so a divisor
@@ -404,12 +390,15 @@ def solve_div(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
             if lo > hi:
                 break
         else:
-            return div(lo, d)
+            inst = _instance(div, lo, d)
+            if inst is not None:
+                return inst
     return None
 
 
 def solve_mod(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
-    """Fit y = (x + b1) mod d + b2 with d in [2, 10], b1 in [0, d).
+    """Fit y = (x + b1) mod d + b2 with d in [2, 10], b1 in [0, d); a b2
+    outside the 64-bit range is no fit, and the scan moves to the next b1.
 
     Every output lies in [b2, b2 + d - 1], so no d below the outputs' span
     plus one fits: the scan starts there, and there is none when that is
@@ -427,8 +416,8 @@ def solve_mod(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
                 if (x + b1) % d + b2 != y:
                     break
             else:
-                inst = mod(b1, b2, d)
-                if _fits(inst, pairs):
+                inst = _instance(mod, b1, b2, d)
+                if inst is not None and _fits(inst, pairs):
                     return inst
     return None
 

@@ -407,7 +407,7 @@ class _Engine:
         self.stats = SynthStats(mode=self.settings.mode)
         self.entries: list[ForwardEntry] = []
         self.state = ExecState()  # every entry's table, by name
-        self.seen_tables: dict[Table, ForwardEntry] = {}
+        self.seen_tables: set[Table] = set()
         self.pred_memo: dict = {}
         self.solver_cache: dict = {}
         #: Each Str column's extract specs, shared by the string solvers
@@ -431,10 +431,9 @@ class _Engine:
     def _add_entry(self, stmt, table: Table, depth: int) -> bool:
         if table in self.seen_tables:
             return False
-        entry = ForwardEntry(stmt, table, depth)
-        self.entries.append(entry)
+        self.entries.append(ForwardEntry(stmt, table, depth))
         self.state.define(table)
-        self.seen_tables[table] = entry
+        self.seen_tables.add(table)
         return True
 
     def _candidates(self, d: int) -> Iterator[TransformStmt]:
@@ -449,11 +448,9 @@ class _Engine:
         existing = list(self.entries)
         constants = sorted(self.task.constants, key=lambda v: (str(type(v)), v))
         for e in existing:
-            size = d - e.depth
-            if size >= 1:
-                for pred in _predicates(e.table.schema, constants, size,
-                                        self.pred_memo):
-                    yield Filter(self._fresh_name(), e.table.name, pred)
+            for pred in _predicates(e.table.schema, constants, d - e.depth,
+                                    self.pred_memo):
+                yield Filter(self._fresh_name(), e.table.name, pred)
         ids = {e.table.name: [n for n, ty in e.table.schema.columns
                               if ty is ColumnType.ID] for e in existing}
         for e1, e2 in itertools.permutations(existing, 2):
@@ -625,20 +622,16 @@ class _Engine:
         return _cover(list(first.items()), 0, (1 << self.task.output.nrows) - 1)
 
     def assemble_program(self, mapping: Sequence[Yield]) -> Program:
-        needed: set[str] = set()
-        # A worklist, not a recursive closure: a closure that names itself
-        # and this engine would keep the engine alive until a cyclic GC.
-        todo = [stmt.src for stmt in mapping]
-        while todo:
-            name = todo.pop()
-            stmt = self.seen_tables[self.state[name]].stmt
-            if stmt is not None and name not in needed:
-                needed.add(name)
-                todo += sources(stmt)
-        # An entry's sources were kept before it, so kept order is topological.
-        transform = tuple(e.stmt for e in self.entries
-                          if e.table.name in needed)
-        program = Program(transform, tuple(mapping))
+        # An entry's sources were kept before it, so one backward pass over
+        # kept order reaches every table a needed one reads.
+        needed = {stmt.src for stmt in mapping}
+        transform = []
+        for e in reversed(self.entries):
+            if e.stmt is not None and e.table.name in needed:
+                transform.append(e.stmt)
+                needed.update(sources(e.stmt))
+        transform.reverse()
+        program = Program(tuple(transform), tuple(mapping))
         try:
             got = exec_program(program, self.task.inputs, self.task.action)
         except ValidationFailure as exc:

@@ -5,6 +5,8 @@ total order (per-cell ordering, identity tokens compared by label) so that
 iteration, hashing, and serialization are deterministic. Cell values are plain
 ``int`` and ``str`` plus the opaque :class:`Id` token; booleans are rejected.
 Ids are interned, one object per label, so they compare and hash by identity.
+:class:`Interned` is the one interning mechanism; ``features.TokenClass``
+uses it too.
 
 The public ``Table(...)`` checks every cell, removes duplicate rows and sorts
 them. ``Table._canonical`` only stores its rows. An operator may pass rows to
@@ -28,34 +30,57 @@ I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
 
 
-class Id:
-    """Opaque identity token. Equality-comparable; never used in arithmetic
-    or string features. The label ordering is used only for canonicalization.
+class Interned:
+    """Base of the interned value types (hash-consing): ``cls(*fields)``
+    returns the one live object with those fields, so equality and hashing
+    are ``object``'s identity, which run in C. Each subclass has its own
+    weak table and lock. The fields fill the subclass's ``__slots__``; an
+    object is built, checked by ``_check`` and kept only when none is live,
+    and leaves the table once no one references it. Fields are immutable,
+    and copies rebuild through the constructor."""
 
-    Ids are interned: ``Id(label)`` returns the one live object per label, so
-    equality and hashing are ``object``'s identity, which run in C."""
+    __slots__ = ("__weakref__",)
 
-    __slots__ = ("label", "__weakref__")
+    def __init_subclass__(cls):
+        cls._instances = weakref.WeakValueDictionary()
+        cls._lock = threading.Lock()
 
-    def __new__(cls, label: str) -> "Id":
-        if not isinstance(label, str):
-            raise SchemaError(f"an Id label must be a string, not {label!r}")
-        with _ID_LOCK:
-            self = _ID_TABLE.get(label)
-            if self is None:
-                self = object.__new__(cls)
-                object.__setattr__(self, "label", label)
-                _ID_TABLE[label] = self
+    def __new__(cls, *fields):
+        with cls._lock:
+            try:
+                return cls._instances[fields]
+            except (KeyError, TypeError):  # none is live, or unhashable fields
+                pass
+            self = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields, strict=True):
+                object.__setattr__(self, name, value)
+            self._check()
+            cls._instances[fields] = self
         return self
 
+    def _check(self):
+        """Raise when the fields make no valid object."""
+
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an Id")
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an Id")
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
     def __reduce__(self):
-        return Id, (self.label,)
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Id(Interned):
+    """Opaque identity token. Equality-comparable; never used in arithmetic
+    or string features. The label ordering is used only for canonicalization.
+    Interned: ``Id(label)`` returns the one live object per label."""
+
+    __slots__ = ("label",)
+
+    def _check(self):
+        if not isinstance(self.label, str):
+            raise SchemaError(f"an Id label must be a string, not {self.label!r}")
 
     def __lt__(self, other):
         return self.label < other.label if isinstance(other, Id) else NotImplemented
@@ -71,10 +96,6 @@ class Id:
 
     def __repr__(self) -> str:
         return f"Id({self.label!r})"
-
-
-_ID_TABLE: "weakref.WeakValueDictionary[str, Id]" = weakref.WeakValueDictionary()
-_ID_LOCK = threading.Lock()
 
 
 class ColumnType(enum.Enum):

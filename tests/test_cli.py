@@ -134,6 +134,8 @@ def test_exec_invalid_program(tmp_path, capsys):
         "action": {"name": "wrap", "args": [{"name": "tag", "type": "Bogus"}]},
         "tables": []}).encode(), id="tables-unknown-arg-type"),
     pytest.param(b'Yield("wrap", \xff);', None, id="program-not-utf8"),
+    pytest.param(b'Yield("wrap", t, linear(2,13835058055282163712)(n));', None,
+                 id="feature-parameter-out-of-range"),
 ])
 def test_exec_bad_file_exits_1_without_traceback(tmp_path, program, tables):
     prog_path, tables_path = WRAP_PROG, WRAP

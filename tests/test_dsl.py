@@ -288,6 +288,27 @@ def test_order_grouped_and_ties():
     assert ranks[(2, 5)] == 0  # ties share the smallest rank
 
 
+def test_order_checks_its_start_before_any_row_and_each_rank_once():
+    empty = Table("t", Schema([("v", INT)]), [])
+    with pytest.raises(IntRangeError):
+        exec_order(empty, "v", c_start=2**64)
+    t = Table("t", Schema([("v", INT)]), [(1,), (2,)])
+    ranks = exec_order(t, "v", c_start=2**63 - 2).column("ord_v")
+    assert ranks == (2**63 - 2, 2**63 - 1)
+    with pytest.raises(IntRangeError, match="integer 9223372036854775808 out of"):
+        exec_order(t, "v", c_start=2**63 - 1)
+
+
+def test_validate_reports_an_order_start_out_of_range(frames_in):
+    program = parse_program(
+        "o = Order(ti, frame, 99999999999999999999, false);\n"
+        'Yield("shift", o, id, "GB", frame, frame);')
+    violations = validate_program(program, [frames_in.schema], ["ti"], SHIFT)
+    assert [(v.rule, v.message) for v in violations] == [
+        ("type check",
+         "statement 0: integer 99999999999999999999 out of 64-bit range")]
+
+
 # Random checked tables: an Id key, an Int or Str column, then up to two
 # Int (negatives included), Str or Id columns, all over small domains so that
 # values tie within and across groups.

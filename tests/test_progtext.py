@@ -23,7 +23,7 @@ from tablesynth.dsl import (
     Yield,
     exec_program,
 )
-from tablesynth.errors import ProgramParseError
+from tablesynth.errors import IntRangeError, ProgramParseError
 from tablesynth.features import (
     ConcatProgram,
     ExtractSegment,
@@ -205,6 +205,16 @@ def test_parse_rejects_garbage():
             parse_program(text)
     with pytest.raises(ProgramParseError):
         parse_predicate("strEq(tag, id")
+
+
+@pytest.mark.parametrize("text", [
+    "linear(2,13835058055282163712)", "linear(-9223372036854775809,0)",
+    "div(9223372036854775808,2)", "mod(0,-9223372036854775809,2)",
+    "sum(9223372036854775808)",
+])
+def test_parse_rejects_a_feature_parameter_out_of_range(text):
+    with pytest.raises(IntRangeError, match="out of 64-bit range"):
+        parse_feature(text)
 
 
 def test_parse_bounds_predicate_nesting():

@@ -14,7 +14,7 @@ from hypothesis import example, given, strategies as st
 
 import tablesynth.features as features
 from tablesynth.domains import load_benchmark
-from tablesynth.dsl import ActionSignature, exec_program
+from tablesynth.dsl import ActionSignature, MutateP, exec_program
 from tablesynth.errors import IntRangeError, SchemaError
 from tablesynth.progtext import format_program
 from tablesynth.synth import (
@@ -451,6 +451,21 @@ def test_blind_surjections_without_identifying_column():
     result = synthesize(SynthTask((sheet,), out, fill))
     assert result.status == "solved"
     assert exec_program(result.program, [sheet], fill) == out
+
+
+def test_no_returned_program_holds_a_feature_parameter_out_of_range():
+    # div(2**63, 2)(x) computes both outputs, but 2**63 is no Int value.
+    t = Table("t", Schema([("id", ID), ("x", INT)]), [(Id("a"), 0), (Id("b"), 2)])
+    act = ActionSignature("act", (("id", ID), ("y", INT)))
+    out = Table("out", act.output_schema(),
+                [("act", Id("a"), 2**62), ("act", Id("b"), 2**62 + 1)])
+    result = synthesize(SynthTask((t,), out, act,
+                                  settings=SynthSettings(max_depth=1)))
+    assert result.status == "solved"
+    params = [p for stmt in result.program.mapping for proj in stmt.projections
+              if isinstance(proj, MutateP) for p in proj.feature.params]
+    assert params and all(-2**63 <= p < 2**63 for p in params)
+    assert exec_program(result.program, [t], act) == out
 
 
 def test_long_table_without_identifying_column_solves():

@@ -11,7 +11,6 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from tablesynth import table
 from tablesynth.dsl import ConstP, Program, Yield
 from tablesynth.errors import (
     IntRangeError,
@@ -35,7 +34,7 @@ from tablesynth.table import (
     type_of,
     union,
 )
-from tablesynth.features import FeatureFamily
+from tablesynth.features import FeatureFamily, TokenClass
 from tablesynth.progtext import format_program, parse_program
 
 INT = ColumnType.INT
@@ -69,25 +68,11 @@ def test_ids_order_by_label():
         Id("a") < "b"
 
 
-def test_id_is_immutable_and_needs_a_string_label():
-    a = Id("a")
-    with pytest.raises(AttributeError):
-        a.label = "b"
-    with pytest.raises(AttributeError):
-        a.other = 1
-    with pytest.raises(AttributeError):
-        del a.label
-    assert a.label == "a"
-    with pytest.raises(SchemaError):
-        Id(5)
-
-
-def test_id_copies_are_the_interned_object():
-    a = Id("a")
-    assert pickle.loads(pickle.dumps(a)) is a
-    assert copy.copy(a) is a
-    assert copy.deepcopy(a) is a
-    assert copy.deepcopy([a, (a,)]) == [a, (a,)]
+def test_id_needs_a_string_label():
+    for bad in 5, None, b"a", ["a"]:
+        with pytest.raises(SchemaError):
+            Id(bad)
+    assert Id("a").label == "a"
 
 
 def test_id_round_trips_through_json_and_program_text():
@@ -99,24 +84,57 @@ def test_id_round_trips_through_json_and_program_text():
     assert parsed.mapping[0].projections[1].value is Id("e7")
 
 
-def test_an_unreferenced_id_leaves_the_intern_table():
-    label = "only-in-this-test"
-    Id(label)
+# -- the interning contract, for every interned class ------------------------
+
+#: Per interned class, its fields built from a fresh string.
+each_interned_class = pytest.mark.parametrize("cls, fields", [
+    (Id, lambda s: (s,)),
+    (TokenClass, lambda s: ("Punct", s)),
+], ids=["Id", "TokenClass"])
+
+
+@each_interned_class
+def test_interned_copies_are_the_live_object(cls, fields):
+    a = cls(*fields("copied"))
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert copy.deepcopy([a, (a,)]) == [a, (a,)]
+
+
+@each_interned_class
+def test_interned_objects_are_immutable(cls, fields):
+    a = cls(*fields("fixed"))
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, "other")
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.other = 1
+    assert tuple(getattr(a, name) for name in cls.__slots__) == fields("fixed")
+
+
+@each_interned_class
+def test_an_unreferenced_interned_object_leaves_its_table(cls, fields):
+    key = fields("only-in-this-test")
+    cls(*key)
     gc.collect()
-    assert label not in table._ID_TABLE
-    a = Id(label)
-    assert table._ID_TABLE[label] is a
+    assert key not in cls._instances
+    a = cls(*key)
+    assert cls._instances[key] is a
 
 
-def test_threads_building_the_same_labels_share_objects():
-    rounds = [[f"thread-{r}-{i}" for i in range(50)] for r in range(20)]
+@each_interned_class
+def test_threads_building_the_same_fields_share_objects(cls, fields):
+    rounds = [[fields(f"thread-{r}-{i}") for i in range(50)] for r in range(20)]
     built = [[] for _ in range(4)]
     start = threading.Barrier(4, timeout=10)
 
     def build(k):
-        for labels in rounds:  # each round starts together, on fresh labels
+        for keys in rounds:  # each round starts together, on fresh fields
             start.wait()
-            built[k] += [Id(label) for label in labels]
+            built[k] += [cls(*key) for key in keys]
 
     threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
     interval = sys.getswitchinterval()
@@ -129,9 +147,10 @@ def test_threads_building_the_same_labels_share_objects():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    for ids in built:
-        assert [x.label for x in ids] == [label for labels in rounds for label in labels]
-        assert all(x is y for x, y in zip(ids, built[0]))
+    for objs in built:
+        assert ([tuple(getattr(x, name) for name in cls.__slots__) for x in objs]
+                == [key for keys in rounds for key in keys])
+        assert all(x is y for x, y in zip(objs, built[0]))
 
 
 def test_hot_value_types_hash_in_c():
