@@ -69,11 +69,9 @@ from .progtext import (
     parse_program,
 )
 from .synth import (
-    Hypothesis,
     SynthResult,
     SynthSettings,
     SynthTask,
-    generate_hypotheses,
     score_subtable,
     synthesize,
     synthesize_forward_only,

@@ -502,9 +502,11 @@ def exec_program(
     program: Program, inputs: Sequence[Table], action: ActionSignature
 ) -> Table:
     """Run the program over its inputs; returns the union of Yield outputs,
-    named ``out``. Each statement is type-checked once, by
+    named ``out``. Each statement is type-checked first, by
     ``validate_program``: a table's schema depends only on its sources'
-    schemas, so the checks on the probe tables hold on the real ones."""
+    schemas, so the checks on the probe tables hold on the real ones.
+    Filters and Yields then run unchecked; Join, GroupJoin and Order run
+    through ``exec_transform``, whose operators check again."""
     violations = validate_program(program, [t.schema for t in inputs],
                                   [t.name for t in inputs], action)
     if violations:

@@ -11,9 +11,9 @@ pairs they return the same instance, with documented tie-breaking
 (smallest dividend, fewest tokens, fewest segments).
 
 Integer semantics: div floors toward minus infinity and mod returns a value
-in [0, d), so interpretation and solving agree on negative operands. The
-integer families' constructors reject a parameter outside the signed 64-bit
-range with IntRangeError, and the solvers treat such an instance as no fit.
+in [0, d), so interpretation and solving agree on negative operands. An
+instance rejects a parameter outside the signed 64-bit range with
+IntRangeError, and the solvers treat such an instance as no fit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import FeatureMissError, IntRangeError, SchemaError
-from .table import ColumnType, Interned, Value, check_int
+from .table import I64_MIN, ColumnType, Interned, Value, check_int, type_of
 
 
 class FeatureFamily(enum.Enum):
@@ -180,12 +180,25 @@ class ConcatProgram:
 
 @dataclass(frozen=True)
 class FeatureInstance:
-    """A fully instantiated feature: family plus family-specific parameters."""
+    """A fully instantiated feature: family plus family-specific parameters,
+    checked however it is built: an integer family's are Int values (so
+    IntRangeError past 64 bits), substring holds an ExtractSpec and concat a
+    ConcatProgram (SchemaError otherwise)."""
 
     family: FeatureFamily
     params: tuple = ()
     extract_spec: Optional[ExtractSpec] = None
     concat: Optional[ConcatProgram] = None
+
+    def __post_init__(self):
+        if self.family is FeatureFamily.SUBSTRING:
+            if not isinstance(self.extract_spec, ExtractSpec):
+                raise SchemaError("substring needs an extract spec")
+        elif self.family is FeatureFamily.CONCAT:
+            if not isinstance(self.concat, ConcatProgram):
+                raise SchemaError("concat needs a concat program")
+        elif any(type_of(p) is not ColumnType.INT for p in self.params):
+            raise SchemaError(f"{self.family.value} parameters must be Int values")
 
     @property
     def arity(self) -> int:
@@ -207,13 +220,13 @@ class FeatureInstance:
 
 
 def linear(a: int, b: int) -> FeatureInstance:
-    return FeatureInstance(FeatureFamily.LINEAR, (check_int(a), check_int(b)))
+    return FeatureInstance(FeatureFamily.LINEAR, (a, b))
 
 
 def div(b: int, d: int) -> FeatureInstance:
     if d < 2:
         raise SchemaError("div dividend must be >= 2")
-    return FeatureInstance(FeatureFamily.DIV, (check_int(b), check_int(d)))
+    return FeatureInstance(FeatureFamily.DIV, (b, d))
 
 
 def mod(b1: int, b2: int, d: int) -> FeatureInstance:
@@ -221,11 +234,11 @@ def mod(b1: int, b2: int, d: int) -> FeatureInstance:
         raise SchemaError("mod dividend must be in [2, 10]")
     if not 0 <= b1 < d:
         raise SchemaError("mod offset b1 must be in [0, d)")
-    return FeatureInstance(FeatureFamily.MOD, (b1, check_int(b2), d))
+    return FeatureInstance(FeatureFamily.MOD, (b1, b2, d))
 
 
 def sum_feature(b: int) -> FeatureInstance:
-    return FeatureInstance(FeatureFamily.SUM, (check_int(b),))
+    return FeatureInstance(FeatureFamily.SUM, (b,))
 
 
 def substring(spec: ExtractSpec) -> FeatureInstance:
@@ -364,9 +377,9 @@ def _div_range(pairs: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
 def solve_div(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
     """Fit y = floor((x + b) / d) by interval intersection over b for each d.
 
-    Each pair constrains b to [d*y - x, d*y - x + d - 1]. The first nonempty
-    intersection (smallest d, then smallest feasible b) wins, unless that b
-    is outside the 64-bit range: the scan then moves to the next d. It runs
+    Each pair constrains b to [d*y - x, d*y - x + d - 1]. The smallest d
+    whose intersection holds a b in the 64-bit range wins, with the smallest
+    such b: the smallest feasible b, raised to -2**63 if it is below. It runs
     over ``_div_range`` only: a divisor outside it leaves some pair's
     interval disjoint from the first pair's, so the winner is the same as
     over every d in [2, DIV_MAX_DIVIDEND]. Bounds only tighten, so a divisor
@@ -390,7 +403,8 @@ def solve_div(pairs: Sequence[tuple[int, int]]) -> Optional[FeatureInstance]:
             if lo > hi:
                 break
         else:
-            inst = _instance(div, lo, d)
+            b = max(lo, I64_MIN)
+            inst = _instance(div, b, d) if b <= hi else None
             if inst is not None:
                 return inst
     return None
@@ -508,9 +522,10 @@ def solve_substring(pairs: Sequence[tuple[str, str]],
 def solve_concat(rows: Sequence[tuple[tuple[str, ...], str]],
                  extractions: Optional[dict] = None) -> Optional[FeatureInstance]:
     """Find a concat program (extract and literal segments) reproducing every
-    (inputs, output) row. Searches by increasing segment count; at equal
-    count, extract segments are preferred over literals. ``extractions`` is
-    as for ``solve_substring``."""
+    (inputs, output) row. Ranks programs by literal characters, then by
+    segment count, so an extract-only program beats a shorter one with a
+    literal; at equal rank, extract segments are tried first.
+    ``extractions`` is as for ``solve_substring``."""
     # Every segment yields a non-empty string, so no program has an empty
     # output.
     if not rows or any(not out for _, out in rows):

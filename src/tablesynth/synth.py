@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .dsl import (
     AGGREGATIONS,
@@ -70,6 +70,7 @@ from .features import (  # the solvers are looked up by name in _Engine._solve
     solve_substring,
     solve_sum,
 )
+from .progtext import NAME_RE
 from .table import ColumnType, Schema, Table, Value, type_of
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,10 @@ class SynthTask:
         names = [t.name for t in self.inputs]
         if len(set(names)) != len(names):
             raise SchemaError("input tables must have distinct names")
+        for name in names + [c for t in self.inputs for c in t.schema.names]:
+            if not NAME_RE.fullmatch(name):
+                raise SchemaError(f"input name {name!r} cannot be written in "
+                                  "program text")
         if self.output.schema != self.action.output_schema():
             raise SchemaError("output schema does not match the action signature")
         a = self.output.schema.index("action")
@@ -134,13 +139,6 @@ class ForwardEntry:
     stmt: Optional[TransformStmt]  # None for input tables
     table: Table
     depth: int
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    rows: frozenset
-    score: int
-    provenance: str  # signature-group | complement | full-table
 
 
 @dataclass
@@ -266,9 +264,10 @@ class HypothesisGenerator:
     more consecutive integers; and, for an example of at most
     ``POWERSET_ROWS`` rows, every proper non-empty subset. A row set is a
     bitmask over the output's row positions, scored from column facts
-    computed once. ``next`` hands out entries ``(key, mask, score, tag)``
-    in ``key`` order (higher score, then more rows, then row positions),
-    and a match pulls its complement to the front (``update_rank``).
+    computed once. ``next`` hands out entries ``(key, mask, tag)`` in
+    ``key`` order (higher score, then more rows, then row positions), and a
+    match pulls its complement to the front (``update_rank``). The tag is
+    the entry's provenance: full-table, signature-group or complement.
     """
 
     def __init__(self, output: Table, inputs: Sequence[Table],
@@ -290,12 +289,12 @@ class HypothesisGenerator:
         self.emitted = 0
 
     def _entry(self, mask: int, tag: str) -> tuple:
-        """``(key, mask, score, tag)``, ``key = (-score, -size, positions)``
-        with positions ascending. A table stores its rows in row-key order,
-        so ties of score and size fall to canonical row-set order."""
+        """``(key, mask, tag)``, ``key = (-score, -size, positions)`` with
+        positions ascending. A table stores its rows in row-key order, so
+        ties of score and size fall to canonical row-set order."""
         positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
         score = _score(self.facts, mask, positions)
-        return (-score, -len(positions), positions), mask, score, tag
+        return (-score, -len(positions), positions), mask, tag
 
     def next(self) -> Optional[tuple]:
         if self.emitted >= self.bound or not self.queue:
@@ -318,12 +317,12 @@ class _SubsetSource:
     """The forward-only baseline's hypotheses: every non-empty subset of the
     output row positions, larger first, as ``HypothesisGenerator`` entries
     of score 0. Unscored and unbounded. A row set matched at an earlier
-    depth is tried again and finds the same first entry."""
+    depth is tried again and finds the same first match."""
 
     def __init__(self, output: Table, deadline: _Deadline):
         self.deadline = deadline
         n = output.nrows
-        self.entries = (((0, -k, combo), sum(1 << i for i in combo), 0,
+        self.entries = (((0, -k, combo), sum(1 << i for i in combo),
                          "signature-group")
                         for k in range(n, 0, -1)
                         for combo in itertools.combinations(range(n), k))
@@ -413,8 +412,6 @@ class _Engine:
         #: Each Str column's extract specs, shared by the string solvers
         #: (``features._column_extractions``).
         self.extractions: dict = {}
-        #: The current depth's keep loop, suspended after its last kept entry.
-        self.stream: Iterator[ForwardEntry] = iter(())
         for t in task.inputs:
             self._add_entry(None, t, 0)
 
@@ -492,9 +489,9 @@ class _Engine:
             if table.nrows and self._add_entry(stmt, table, d):
                 yield self.entries[-1]
 
-    def expand(self):
-        """Keep the rest of the current depth."""
-        for _ in self.stream:
+    def expand(self, stream: Iterable[ForwardEntry]):
+        """Keep the rest of the depth whose keep loop is ``stream``."""
+        for _ in stream:
             pass
 
     # -- matching ------------------------------------------------------------
@@ -582,10 +579,11 @@ class _Engine:
                         return MutateP(inst, combo)
         return None
 
-    def match_hypothesis(self, positions: Sequence[int]) -> Optional[Yield]:
+    def match_hypothesis(self, positions: Sequence[int],
+                         stream: Iterable[ForwardEntry]) -> Optional[Yield]:
         """First forward table (ascending depth) admitting an exact match of
         the output rows at ``positions`` (ascending). Past the last kept
-        entry, the scan keeps more of the current depth."""
+        entry, the scan pulls more of the current depth from ``stream``."""
         output = self.task.output
         # A subsequence of the checked output's rows, so canonical.
         h_table = Table._canonical("h", output.schema,
@@ -593,7 +591,7 @@ class _Engine:
         ids = _identifying_columns(h_table)
         # The list iterator ends at the entries kept so far; the stream then
         # yields each entry it appends.
-        for entry in itertools.chain(self.entries, self.stream):
+        for entry in itertools.chain(self.entries, stream):
             self.deadline.check()
             t = entry.table
             if t.nrows < h_table.nrows:
@@ -614,12 +612,13 @@ class _Engine:
 
     # -- assembly ------------------------------------------------------------
 
-    def assemble_mapping(self, matched: Sequence[tuple[Yield, tuple]]):
-        """Exact cover of the output rows by pairwise-disjoint source entries."""
-        first: dict[int, Yield] = {}  # per row set, its best-ranked match
-        for stmt, (_, mask, _, _) in sorted(matched, key=lambda m: m[1][0]):
-            first.setdefault(mask, stmt)
-        return _cover(list(first.items()), 0, (1 << self.task.output.nrows) - 1)
+    def assemble_mapping(self, matched: dict[int, tuple[tuple, Yield]]):
+        """Exact cover of the output rows by pairwise-disjoint matches, tried
+        in key order. ``matched`` maps a row set's mask to its key and first
+        match; the key depends only on the mask, so key order is rank order."""
+        items = [(mask, stmt) for mask, (_, stmt)
+                 in sorted(matched.items(), key=lambda m: m[1][0])]
+        return _cover(items, 0, (1 << self.task.output.nrows) - 1)
 
     def assemble_program(self, mapping: Sequence[Yield]) -> Program:
         # An entry's sources were kept before it, so one backward pass over
@@ -644,16 +643,9 @@ class _Engine:
 
     # -- top-level loop ------------------------------------------------------
 
-    def _hypotheses(self):
-        """This depth's hypothesis source, chosen by the search mode."""
-        if self.settings.mode == "forward-only":
-            return _SubsetSource(self.task.output, self.deadline)
-        return HypothesisGenerator(self.task.output, self.task.inputs,
-                                   self.settings)
-
     def run(self) -> SynthResult:
         start = time.monotonic()
-        matched: list[tuple[Yield, tuple]] = []
+        matched: dict[int, tuple[tuple, Yield]] = {}
         try:
             max_depth = self.settings.max_depth
             # Kept tables are non-empty and a Yield over a non-empty table
@@ -662,32 +654,32 @@ class _Engine:
             depths = (range(1, max_depth + 1)
                       if max_depth > 0 and self.task.output.nrows else [0])
             for d in depths:
-                if d > 0:
-                    self.stream = self._keep(d)
-                source = self._hypotheses()
+                # The depth's keep loop, suspended after its last kept entry.
+                stream = self._keep(d) if d > 0 else ()
+                source = (_SubsetSource(self.task.output, self.deadline)
+                          if self.settings.mode == "forward-only" else
+                          HypothesisGenerator(self.task.output,
+                                              self.task.inputs, self.settings))
                 while (entry := source.next()) is not None:
                     self.stats.hypotheses_tried += 1
-                    key, mask, _, _ = entry
-                    stmt = self.match_hypothesis(key[2])
+                    key, mask, _ = entry
+                    stmt = self.match_hypothesis(key[2], stream)
                     if stmt is None:
                         continue
                     self.stats.matches_solved += 1
-                    matched.append((stmt, entry))
+                    matched.setdefault(mask, (key, stmt))
                     source.update_rank(mask)
                     cover = self.assemble_mapping(matched)
                     if cover:  # an empty output's empty cover is no program
                         program = self.assemble_program(cover)
                         return self._finish("solved", program, start)
                 self.stats.hypotheses_untried += source.untried()
-                self.expand()
+                self.expand(stream)
             return self._finish("exhausted", None, start)
         except _SearchTimeout:
             return self._finish("timeout", None, start)
 
     def _finish(self, status, program, start) -> SynthResult:
-        # A suspended stream's frame refers to this engine; dropping it lets
-        # reference counting free the engine.
-        self.stream = iter(())
         self.stats.forward_tables = len(self.entries)
         self.stats.elapsed_ms = int((time.monotonic() - start) * 1000)
         return SynthResult(status, program, self.stats)
@@ -732,12 +724,3 @@ def synthesize(task: SynthTask) -> SynthResult:
 def synthesize_forward_only(task: SynthTask) -> SynthResult:
     return synthesize(replace(task, settings=replace(task.settings,
                                                       mode="forward-only")))
-
-
-def generate_hypotheses(output: Table, inputs: Sequence[Table],
-                        bound: int) -> list[Hypothesis]:
-    """The generator's ranked entries, fully drained (bounded), as Hypotheses."""
-    gen = HypothesisGenerator(output, inputs,
-                              SynthSettings(hypothesis_bound=bound))
-    return [Hypothesis(frozenset(output.rows[i] for i in key[2]), score, tag)
-            for key, _, score, tag in iter(gen.next, None)]

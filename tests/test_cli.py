@@ -39,7 +39,7 @@ def test_synth_solved(capsys):
 
 def test_synth_stops_keeping_tables_at_the_first_match(capsys):
     # delete-pdf's one hypothesis matches the 23rd table kept; the rest of
-    # depth 1 (4100 tables in all) is never built.
+    # depth 1 (3576 tables in all) is never built.
     code = main(["synth", str(BENCHMARKS / "file" / "delete-pdf.json")])
     _, err = capsys.readouterr()
     assert code == EXIT_SOLVED

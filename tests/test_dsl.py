@@ -452,7 +452,7 @@ def test_tables_built_from_checked_rows_are_canonical(data):
                                          min_size=1)
                                  if out.nrows else st.just(set())))
     engine = _CapturingEngine(SynthTask((out.renamed("ti"),), out, sig))
-    engine.match_hypothesis(positions)
+    engine.match_hypothesis(positions, ())
     [h] = engine.h_tables  # the input is scanned once; no table is kept
     _assert_canonical(h)
     assert h.rows == tuple(out.rows[i] for i in positions)

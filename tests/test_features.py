@@ -10,7 +10,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import tablesynth.features as features
 from tablesynth.errors import FeatureMissError, IntRangeError, SchemaError
@@ -22,6 +22,7 @@ from tablesynth.features import (
     ExtractSegment,
     ExtractSpec,
     FeatureFamily,
+    FeatureInstance,
     LiteralSegment,
     TokenClass,
     apply_feature,
@@ -404,12 +405,14 @@ def _div_interval(pairs, d):
 
 def _solve_div_reference(pairs):
     """``solve_div`` without the early exit: every pair narrows every
-    divisor's interval before the interval is tested. A divisor whose
-    smallest offset ``div`` rejects as out of range fits nothing."""
+    divisor's interval before the interval is tested. A divisor fits with
+    its smallest offset from -2**63 up; one whose offsets ``div`` rejects
+    as out of range fits nothing."""
     if len(pairs) < 2:
         return None
     for d in range(2, features.DIV_MAX_DIVIDEND + 1):
         lo, hi = _div_interval(pairs, d)
+        lo = max(lo, -2**63)
         if lo <= hi:
             try:
                 return div(lo, d)
@@ -464,6 +467,7 @@ def _int_pairs(draw):
 
 
 @given(_int_pairs())
+@example([(1, -2**62), (3, -2**62 + 1)])
 def test_solve_div_equals_its_definition(pairs):
     assert solve_div(pairs) == _solve_div_reference(pairs)
 
@@ -538,6 +542,26 @@ def test_solvers_fit_no_instance_with_a_parameter_out_of_range():
     # At d = 3, b1 = 0 needs b2 = -2**63 - 1; the scan moves on to b1 = 2.
     pairs = [(1, -2**63), (2, -2**63 + 1), (4, -2**63)]
     assert solve_mod(pairs) == mod(2, -2**63, 3)
+    # At d = 2 both pairs admit b in [-2**63 - 1, -2**63]: the smallest b is
+    # out of range, the next one fits.
+    pairs = [(1, -2**62), (3, -2**62 + 1)]
+    assert solve_div(pairs) == div(-2**63, 2)
+    assert all(apply_feature(div(-2**63, 2), (x,)) == y for x, y in pairs)
+
+
+@pytest.mark.parametrize("family, fields, error", [
+    (FeatureFamily.LINEAR, {"params": (2**70, 0)}, IntRangeError),
+    (FeatureFamily.MOD, {"params": (0, -2**63 - 1, 2)}, IntRangeError),
+    (FeatureFamily.DIV, {"params": (True, 2)}, SchemaError),
+    (FeatureFamily.SUM, {"params": ("1",)}, SchemaError),
+    (FeatureFamily.SUBSTRING, {}, SchemaError),
+    (FeatureFamily.SUBSTRING, {"extract_spec": "Alpha#1"}, SchemaError),
+    (FeatureFamily.CONCAT, {}, SchemaError),
+])
+def test_feature_instances_are_checked_however_built(family, fields, error):
+    # The constructors are one way in; the dataclass is another.
+    with pytest.raises(error):
+        FeatureInstance(family, **fields)
 
 
 # -- family enumeration --------------------------------------------------------

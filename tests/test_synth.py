@@ -19,7 +19,6 @@ from tablesynth.errors import IntRangeError, SchemaError
 from tablesynth.progtext import format_program
 from tablesynth.synth import (
     POWERSET_ROWS,
-    Hypothesis,
     HypothesisGenerator,
     SynthSettings,
     SynthTask,
@@ -29,7 +28,6 @@ from tablesynth.synth import (
     _SubsetSource,
     _identifying_columns,
     _row_chars,
-    generate_hypotheses,
     score_subtable,
     synthesize,
     synthesize_forward_only,
@@ -145,22 +143,26 @@ def test_score_empty():
 # -- hypothesis pool ---------------------------------------------------------
 
 def test_hypotheses_ranked_and_bounded(shift_out, frames_in, yield1, yield2):
-    pool = generate_hypotheses(shift_out, [frames_in], 20)
+    gen = HypothesisGenerator(shift_out, [frames_in],
+                              SynthSettings(hypothesis_bound=20))
+    pool = [_as_hypothesis(shift_out, entry) for entry in iter(gen.next, None)]
     assert 0 < len(pool) <= 20
     # Highest score first; the full output table wins here.
-    assert pool[0].rows == frozenset(shift_out.rows)
-    scores = [h.score for h in pool]
+    assert pool[0][0] == frozenset(shift_out.rows)
+    scores = [score for _, score, _ in pool]
     assert scores == sorted(scores, reverse=True)
-    rowsets = {h.rows for h in pool}
+    rowsets = {rows for rows, _, _ in pool}
     assert frozenset(yield1.rows) in rowsets
     assert frozenset(yield2.rows) in rowsets
     target = frozenset(shift_out.rows)
-    assert all(h.rows and h.rows <= target for h in pool)
+    assert all(rows and rows <= target for rows in rowsets)
 
 
 def test_hypotheses_distinct(shift_out, frames_in):
-    pool = generate_hypotheses(shift_out, [frames_in], 50)
-    rowsets = [h.rows for h in pool]
+    gen = HypothesisGenerator(shift_out, [frames_in],
+                              SynthSettings(hypothesis_bound=50))
+    pool = [_as_hypothesis(shift_out, entry) for entry in iter(gen.next, None)]
+    rowsets = [rows for rows, _, _ in pool]
     assert len(rowsets) == len(set(rowsets))
 
 
@@ -171,9 +173,8 @@ def test_hypothesis_queue_pinned_with_rank_updates(shift_out, frames_in):
     gen = HypothesisGenerator(shift_out, [frames_in], SynthSettings())
     emitted = []
     while (entry := gen.next()) is not None:
-        h = _as_hypothesis(shift_out, entry)
-        emitted.append((" ".join(sorted(r[1].label for r in h.rows)),
-                        h.score, h.provenance))
+        rows, score, tag = _as_hypothesis(shift_out, entry)
+        emitted.append((" ".join(sorted(r[1].label for r in rows)), score, tag))
         if len(emitted) in (1, 3):
             gen.update_rank(entry[1])
     assert emitted == [
@@ -232,17 +233,19 @@ def test_consecutive_runs_decide_a_sweep_task():
 
 # -- the generator against its row-set definition ----------------------------
 
-def _rank(h: Hypothesis) -> tuple:
+def _rank(h: tuple) -> tuple:
     """Higher score first, then more rows, then canonical row-set order."""
-    return (-h.score, -len(h.rows), sorted(row_key(r) for r in h.rows))
+    rows, score, _ = h
+    return (-score, -len(rows), sorted(row_key(r) for r in rows))
 
 
-def _as_hypothesis(output, entry) -> Hypothesis:
-    """A hypothesis source's entry ``(key, mask, score, tag)`` as the public
-    ``Hypothesis`` over the rows of ``output`` at its positions."""
-    key, mask, score, tag = entry
+def _as_hypothesis(output, entry) -> tuple:
+    """A hypothesis source's entry ``(key, mask, tag)`` as ``(rows, score,
+    tag)``: the frozenset of the rows of ``output`` at its positions, and
+    the score its key ranks by."""
+    key, mask, tag = entry
     assert mask == sum(1 << i for i in key[2])
-    return Hypothesis(frozenset(output.rows[i] for i in key[2]), score, tag)
+    return frozenset(output.rows[i] for i in key[2]), -key[0], tag
 
 
 def _score_subtable_reference(rows, schema, inputs):
@@ -267,8 +270,9 @@ def _score_subtable_reference(rows, schema, inputs):
 
 
 class _GeneratorReference:
-    """``HypothesisGenerator`` over frozensets of rows: every pool entry is
-    scored by ``_score_subtable_reference`` and ranked by ``_rank``."""
+    """``HypothesisGenerator`` over frozensets of rows, as entries ``(rows,
+    score, tag)``: every pool entry is scored by
+    ``_score_subtable_reference`` and ranked by ``_rank``."""
 
     def __init__(self, output, inputs, settings):
         self.output = output
@@ -290,8 +294,8 @@ class _GeneratorReference:
                 for combo in itertools.combinations(output.rows, k):
                     pool.setdefault(frozenset(combo), "signature-group")
         self.queue = sorted(
-            (Hypothesis(rows, _score_subtable_reference(
-                rows, output.schema, self.inputs), tag)
+            ((rows, _score_subtable_reference(rows, output.schema,
+                                              self.inputs), tag)
              for rows, tag in pool.items()), key=_rank)
         self.emitted = 0
 
@@ -310,10 +314,10 @@ class _GeneratorReference:
         return self.queue.pop(0)
 
     def update_rank(self, matched):
-        complement = self.all_rows - matched.rows
-        self.queue = [h for h in self.queue if h.rows != complement]
+        complement = self.all_rows - matched[0]
+        self.queue = [h for h in self.queue if h[0] != complement]
         if complement:
-            self.queue.insert(0, Hypothesis(
+            self.queue.insert(0, (
                 complement,
                 _score_subtable_reference(complement, self.output.schema,
                                           self.inputs),
@@ -342,8 +346,7 @@ def test_position_key_orders_as_rank(table, inputs, data):
     masks = data.draw(st.lists(st.integers(0, (1 << table.nrows) - 1),
                                unique=True))
     entries = {m: gen._entry(m, "t") for m in masks}
-    hyps = {m: Hypothesis(frozenset(table.rows[i] for i in key[2]), score, "t")
-            for m, (key, _, score, _) in entries.items()}
+    hyps = {m: _as_hypothesis(table, entry) for m, entry in entries.items()}
     assert (sorted(masks, key=lambda m: entries[m][0])
             == sorted(masks, key=lambda m: _rank(hyps[m])))
 
@@ -385,15 +388,14 @@ def test_hypothesis_generator_equals_its_reference(output, inputs, matches,
     gen = HypothesisGenerator(output, inputs, settings)
     emitted = []
     while (entry := gen.next()) is not None:
-        h = _as_hypothesis(output, entry)
-        emitted.append((h.rows, h.score, h.provenance))
+        emitted.append(_as_hypothesis(output, entry))
         if next(reported, False):
             gen.update_rank(entry[1])
     reported = iter(matches)
     ref = _GeneratorReference(output, inputs, settings)
     expected = []
     while (h := ref.next()) is not None:
-        expected.append((h.rows, h.score, h.provenance))
+        expected.append(h)
         if next(reported, False):
             ref.update_rank(h)
     assert emitted == expected
@@ -567,6 +569,17 @@ def test_task_rejects_constant_that_is_not_a_table_value(frames_in, shift_out, c
         SynthTask((frames_in,), shift_out, SHIFT, (3, const))
 
 
+@pytest.mark.parametrize("table_name, column", [
+    ("my files", "n"), ("files", "my n"), ("files", "1n")])
+def test_task_rejects_names_program_text_cannot_spell(table_name, column):
+    # Such a task could end solved with a program parse_program rejects.
+    act = ActionSignature("act", (("id", ID),))
+    t = Table(table_name, Schema([("id", ID), (column, INT)]), [(Id("a"), 1)])
+    out = Table("out", act.output_schema(), [("act", Id("a"))])
+    with pytest.raises(SchemaError):
+        SynthTask((t,), out, act)
+
+
 def test_unsolvable_at_depth_zero(frames_in, shift_out):
     settings = SynthSettings(max_depth=0)
     task = SynthTask((frames_in,), shift_out, SHIFT, settings=settings)
@@ -584,7 +597,7 @@ def test_forward_only_solves_small_family():
 
 def test_subset_source_yields_each_row_set_once_larger_first(shift_out):
     source = _SubsetSource(shift_out, _Deadline(60))
-    row_sets = [_as_hypothesis(shift_out, entry).rows
+    row_sets = [_as_hypothesis(shift_out, entry)[0]
                 for entry in iter(source.next, None)]
     assert len(set(row_sets)) == len(row_sets) == 2**4 - 1
     assert all(rows and rows <= frozenset(shift_out.rows) for rows in row_sets)
@@ -682,8 +695,7 @@ def _fully_kept(task, depth):
     """The entries of an engine that keeps depths 1..``depth`` in full."""
     engine = _Engine(task)
     for d in range(1, depth + 1):
-        engine.stream = engine._keep(d)
-        engine.expand()
+        engine.expand(engine._keep(d))
     return engine.entries
 
 
@@ -774,7 +786,7 @@ def test_matching_on_a_fresh_engine_scans_the_inputs():
     # Before run() there is no depth to pull from: only inputs are scanned.
     task = _rename(SynthSettings())
     eng = _Engine(task)
-    assert eng.match_hypothesis(range(task.output.nrows)).src == "files"
+    assert eng.match_hypothesis(range(task.output.nrows), ()).src == "files"
     assert len(eng.entries) == 1
 
 
