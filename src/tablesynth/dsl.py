@@ -253,9 +253,12 @@ class Program:
 @dataclass
 class ExecState:
     """Defined tables, keyed by name. ``exec_transform`` reads it; only
-    ``define`` grows it."""
+    ``define`` grows it. A name is defined once and never rebound, so
+    ``cache`` keeps what GroupJoins compute from a table under its name
+    (see ``exec_groupjoin``)."""
 
     tables: dict[str, Table] = field(default_factory=dict)
+    cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def define(self, t: Table):
         if t.name in self.tables:
@@ -316,20 +319,26 @@ def _fresh_col(base: str, schema_names) -> str:
     return f"{base}_{k}"
 
 
+def _int_column(vals: list, col: str, name: str) -> list:
+    """``vals``, once each is checked to be an Int value of the column
+    ``col`` of the table ``name``."""
+    for v in vals:
+        if type_of(v) is not ColumnType.INT:
+            raise SchemaError(f"cell {v!r} does not match column "
+                              f"{col}:{ColumnType.INT} in {name!r}")
+    return vals
+
+
 def _with_int_columns(
     t: Table, columns: Sequence[tuple[str, Sequence[int]]], name: str
 ) -> Table:
     """``t`` extended by Int columns, built once and named ``name``.
-    ``columns`` holds (base name, values aligned to ``t.rows``) pairs; each
-    column takes a fresh name against the columns before it. Every new cell
-    is type-checked; ``t``'s rows keep their canonical order."""
+    ``columns`` holds (base name, values aligned to ``t.rows``) pairs whose
+    values ``_int_column`` checked; each column takes a fresh name against
+    the columns before it. ``t``'s rows keep their canonical order."""
     names = list(t.schema.names)
-    for base, vals in columns:
+    for base, _ in columns:
         names.append(_fresh_col(base, names))
-        for v in vals:
-            if type_of(v) is not ColumnType.INT:
-                raise SchemaError(f"cell {v!r} does not match column "
-                                  f"{names[-1]}:{ColumnType.INT} in {name!r}")
     schema = Schema(list(t.schema.columns)
                     + [(n, ColumnType.INT) for n in names[len(t.schema):]])
     new_cells = zip(*(vals for _, vals in columns))
@@ -338,8 +347,14 @@ def _with_int_columns(
 
 
 def exec_groupjoin(
-    t: Table, col_index: str, aggs: Sequence[tuple[str, str]], name: str = "grouped"
+    t: Table, col_index: str, aggs: Sequence[tuple[str, str]],
+    name: str = "grouped", cache: Optional[dict] = None,
 ) -> Table:
+    """``t`` extended by each aggregate of its row's group by ``col_index``.
+    ``cache`` holds, per ``(t.name, col_index)``, the grouping and, per
+    ``(t.name, col_index, agg, col)``, the checked aggregate column: an
+    ``ExecState`` passes its own, so each is computed once per state; a
+    call without one computes its own."""
     if not aggs:
         raise SchemaError("groupjoin needs at least one aggregation")
     gi = t.schema.index(col_index)
@@ -349,15 +364,24 @@ def exec_groupjoin(
         ty = t.schema.type_of(col)
         if agg != "cnt" and ty is not ColumnType.INT:
             raise SchemaError(f"{agg} over non-Int column {col!r}")
-    groups: dict[Value, list] = {}
-    for row in t.rows:
-        groups.setdefault(row[gi], []).append(row)
+    if cache is None:
+        cache = {}
+    key = (t.name, col_index)
+    groups = cache.get(key)
+    if groups is None:
+        groups = cache[key] = {}
+        for row in t.rows:
+            groups.setdefault(row[gi], []).append(row)
     columns = []
     for agg, col in aggs:
-        ci = t.schema.index(col)
-        per_group = {k: AGGREGATIONS[agg]([g[ci] for g in rows])
-                     for k, rows in groups.items()}
-        columns.append((f"{agg}_{col}", [per_group[row[gi]] for row in t.rows]))
+        vals = cache.get(key + (agg, col))
+        if vals is None:
+            ci = t.schema.index(col)
+            per_group = {k: AGGREGATIONS[agg]([g[ci] for g in rows])
+                         for k, rows in groups.items()}
+            vals = cache[key + (agg, col)] = _int_column(
+                [per_group[row[gi]] for row in t.rows], f"{agg}_{col}", name)
+        columns.append((f"{agg}_{col}", vals))
     return _with_int_columns(t, columns, name)
 
 
@@ -373,7 +397,7 @@ def exec_order(
     if ty is ColumnType.ID:
         raise SchemaError(f"cannot order on Id column {col!r}")
     # Checked before any row, so the validator's empty-table probe sees it;
-    # ``_with_int_columns`` range-checks every rank.
+    # ``_int_column`` range-checks every rank.
     check_int(c_start)
     ci = t.schema.index(col)
     gi = t.schema.index(col_index) if col_index is not None else None
@@ -396,7 +420,8 @@ def exec_order(
         else:
             smaller = bisect.bisect_left(vs, row[ci])
         ranks.append(c_start + smaller)
-    return _with_int_columns(t, [(f"ord_{col}", ranks)], name)
+    return _with_int_columns(
+        t, [(f"ord_{col}", _int_column(ranks, f"ord_{col}", name))], name)
 
 
 def exec_transform(state: ExecState, stmt: TransformStmt) -> Table:
@@ -408,7 +433,8 @@ def exec_transform(state: ExecState, stmt: TransformStmt) -> Table:
     if isinstance(stmt, Join):
         return exec_join(state[stmt.src1], state[stmt.src2], stmt.col1, stmt.col2, stmt.target)
     if isinstance(stmt, GroupJoin):
-        return exec_groupjoin(state[stmt.src], stmt.col_index, stmt.aggs, stmt.target)
+        return exec_groupjoin(state[stmt.src], stmt.col_index, stmt.aggs,
+                              stmt.target, state.cache)
     if isinstance(stmt, Order):
         return exec_order(
             state[stmt.src], stmt.col, stmt.c_start, stmt.c_inv, stmt.col_index, stmt.target

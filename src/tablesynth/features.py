@@ -178,12 +178,19 @@ class ConcatProgram:
 # Concrete feature instances.
 
 
+#: Integer family -> its parameter count; the string families take none.
+_PARAM_COUNT = {FeatureFamily.LINEAR: 2, FeatureFamily.DIV: 2,
+                FeatureFamily.MOD: 3, FeatureFamily.SUM: 1}
+
+
 @dataclass(frozen=True)
 class FeatureInstance:
     """A fully instantiated feature: family plus family-specific parameters,
     checked however it is built: an integer family's are Int values (so
-    IntRangeError past 64 bits), substring holds an ExtractSpec and concat a
-    ConcatProgram (SchemaError otherwise)."""
+    IntRangeError past 64 bits), as many as the family takes, with a ``div``
+    divisor of at least 2 and a ``mod`` divisor in [2, 10] above its offset
+    b1; substring holds an ExtractSpec and concat a ConcatProgram, and
+    neither takes parameters (SchemaError otherwise)."""
 
     family: FeatureFamily
     params: tuple = ()
@@ -191,14 +198,27 @@ class FeatureInstance:
     concat: Optional[ConcatProgram] = None
 
     def __post_init__(self):
-        if self.family is FeatureFamily.SUBSTRING:
+        family = self.family
+        if family is FeatureFamily.SUBSTRING:
             if not isinstance(self.extract_spec, ExtractSpec):
                 raise SchemaError("substring needs an extract spec")
-        elif self.family is FeatureFamily.CONCAT:
+        elif family is FeatureFamily.CONCAT:
             if not isinstance(self.concat, ConcatProgram):
                 raise SchemaError("concat needs a concat program")
         elif any(type_of(p) is not ColumnType.INT for p in self.params):
-            raise SchemaError(f"{self.family.value} parameters must be Int values")
+            raise SchemaError(f"{family.value} parameters must be Int values")
+        count = _PARAM_COUNT.get(family, 0)
+        if len(self.params) != count:
+            raise SchemaError(f"{family.value} takes {count} parameters, "
+                              f"got {len(self.params)}")
+        if family is FeatureFamily.DIV and self.params[1] < 2:
+            raise SchemaError("div dividend must be >= 2")
+        if family is FeatureFamily.MOD:
+            b1, _, d = self.params
+            if not 2 <= d <= 10:
+                raise SchemaError("mod dividend must be in [2, 10]")
+            if not 0 <= b1 < d:
+                raise SchemaError("mod offset b1 must be in [0, d)")
 
     @property
     def arity(self) -> int:
@@ -224,16 +244,10 @@ def linear(a: int, b: int) -> FeatureInstance:
 
 
 def div(b: int, d: int) -> FeatureInstance:
-    if d < 2:
-        raise SchemaError("div dividend must be >= 2")
     return FeatureInstance(FeatureFamily.DIV, (b, d))
 
 
 def mod(b1: int, b2: int, d: int) -> FeatureInstance:
-    if not 2 <= d <= 10:
-        raise SchemaError("mod dividend must be in [2, 10]")
-    if not 0 <= b1 < d:
-        raise SchemaError("mod offset b1 must be in [0, d)")
     return FeatureInstance(FeatureFamily.MOD, (b1, b2, d))
 
 

@@ -3,7 +3,12 @@
 Forward direction: depth-bounded enumeration of transform statements, with
 observational equivalence classing. Each depth is one stream of candidate
 statements (``_Engine._candidates``); a candidate whose table is new and
-non-empty is kept, and any other is dropped. A candidate's target is named
+non-empty is kept, and any other is dropped. A table is new when no kept
+table is equal to it and, for a derived table, none holds the same set of
+typed columns (``_column_set``): such tables differ only in duplicated or
+reordered columns, so either one answers for the other. GroupJoins share
+their groupings and aggregate columns through the engine's ``ExecState``,
+so each is computed once per search. A candidate's target is named
 ``t<k>`` when it is drawn, where ``k`` counts the tables kept so far (inputs
 included, input names skipped), so tables are named in the order they are
 kept. Backward direction: sub-tables of the output example (hypotheses)
@@ -407,6 +412,7 @@ class _Engine:
         self.entries: list[ForwardEntry] = []
         self.state = ExecState()  # every entry's table, by name
         self.seen_tables: set[Table] = set()
+        self.seen_columns: set[frozenset] = set()
         self.pred_memo: dict = {}
         self.solver_cache: dict = {}
         #: Each Str column's extract specs, shared by the string solvers
@@ -426,11 +432,17 @@ class _Engine:
         return f"t{k}"
 
     def _add_entry(self, stmt, table: Table, depth: int) -> bool:
+        """Keep ``table`` unless an equal table is kept or, for a derived
+        table, a kept table has the same column set (``_column_set``)."""
         if table in self.seen_tables:
+            return False
+        columns = _column_set(table)
+        if stmt is not None and columns in self.seen_columns:
             return False
         self.entries.append(ForwardEntry(stmt, table, depth))
         self.state.define(table)
         self.seen_tables.add(table)
+        self.seen_columns.add(columns)
         return True
 
     def _candidates(self, d: int) -> Iterator[TransformStmt]:
@@ -683,6 +695,18 @@ class _Engine:
         self.stats.forward_tables = len(self.entries)
         self.stats.elapsed_ms = int((time.monotonic() - start) * 1000)
         return SynthResult(status, program, self.stats)
+
+
+def _column_set(t: Table) -> frozenset:
+    """The set of ``t``'s columns as (type, values in row order) pairs. Two
+    tables with equal sets have as many rows, and each column of one is,
+    row by row, a column of the other: they differ only in repeated and
+    reordered columns. A statement over one then has a
+    counterpart over the other, its column names mapped, whose result has
+    the same column set, and a Yield over one reads the same rows from the
+    other. So forward search keeps the first of them only. A table without
+    rows, which forward search never derives, has the empty set."""
+    return frozenset(zip([ty for _, ty in t.schema.columns], zip(*t.rows)))
 
 
 def _identifying_columns(h: Table) -> list[tuple[ColumnType, dict]]:

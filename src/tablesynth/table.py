@@ -336,13 +336,15 @@ def value_to_json(value: Value):
 
 
 def value_from_json(obj) -> Value:
+    """The table value ``obj`` encodes; an Int outside the signed 64-bit
+    range raises IntRangeError."""
     if isinstance(obj, dict):
         if set(obj) != {"id"} or not isinstance(obj["id"], str):
             raise SchemaError(f"malformed Id cell {obj!r}")
         return Id(obj["id"])
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise SchemaError(f"unsupported cell {obj!r}")
-    return obj
+    return check_int(obj) if isinstance(obj, int) else obj
 
 
 def table_to_json(t: Table) -> dict:
@@ -358,8 +360,11 @@ def table_from_json(obj: dict) -> Table:
         name = obj["name"]
         columns = obj["columns"]
         rows = obj["rows"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise SchemaError(f"malformed table object: missing {exc}") from None
+    except TypeError:
+        raise SchemaError(f"malformed table object: {type(obj).__name__} is "
+                          "not a JSON object") from None
     try:
         schema = Schema((c["name"], ColumnType(c["type"])) for c in columns)
     except (TypeError, KeyError, ValueError) as exc:

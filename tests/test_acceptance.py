@@ -188,6 +188,18 @@ def test_criterion_4_soundness_200_random_tasks():
     assert returned >= 150
 
 
+def test_criterion_4_largest_searches_end_by_themselves():
+    # Draws 11 and 131 of the sweep above are its two largest searches and
+    # return no program. Well inside any budget they end exhausted, so the
+    # tables they keep pin their work whatever the machine load.
+    rng = random.Random(404)
+    settings = SynthSettings(timeout=60.0, max_depth=2)
+    tasks = [random_task(rng, settings)[0] for _ in range(132)]
+    for draw, tables in ((11, 1412), (131, 1614)):
+        result = synthesize(tasks[draw])
+        assert (result.status, result.stats.forward_tables) == ("exhausted", tables)
+
+
 # -- criterion 5: solver recovery --------------------------------------------
 
 _TOKENS = [TokenClass("Digits"), TokenClass("Alnum"), TokenClass("Alpha"),

@@ -39,7 +39,7 @@ def test_synth_solved(capsys):
 
 def test_synth_stops_keeping_tables_at_the_first_match(capsys):
     # delete-pdf's one hypothesis matches the 23rd table kept; the rest of
-    # depth 1 (3576 tables in all) is never built.
+    # depth 1 (1195 tables in all) is never built.
     code = main(["synth", str(BENCHMARKS / "file" / "delete-pdf.json")])
     _, err = capsys.readouterr()
     assert code == EXIT_SOLVED
@@ -199,6 +199,27 @@ def test_bad_benchmark_file_exits_1_without_traceback(tmp_path, command, write):
     assert proc.returncode == EXIT_ERROR
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["synth", "exec"])
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(lambda src: src.update(constants=[2**70]),
+                 "integer 1180591620717411303424 out of 64-bit range",
+                 id="constant-out-of-range"),
+    pytest.param(lambda src: src.update(output=None),
+                 "malformed table object: NoneType is not a JSON object",
+                 id="null-table"),
+])
+def test_bad_benchmark_value_names_the_file(tmp_path, command, mutate, message):
+    path = tmp_path / "case.json"
+    _running_example_with(mutate)(path)
+    args = [str(BENCHMARKS / "gif" / "running-example.prog")] * (command == "exec")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tablesynth.cli", command, *args, str(path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("program, where", [

@@ -32,6 +32,7 @@ from tablesynth.dsl import (
     exec_join,
     exec_order,
     exec_program,
+    exec_transform,
     exec_yield,
     predicate_size,
     validate_program,
@@ -39,7 +40,7 @@ from tablesynth.dsl import (
 from tablesynth.errors import IntRangeError, SchemaError, ValidationFailure
 from tablesynth.features import ExtractSpec, TokenClass, linear, substring, sum_feature
 from tablesynth.progtext import parse_feature, parse_program
-from tablesynth.synth import SynthTask, _atoms, _Engine
+from tablesynth.synth import SynthTask, _atoms, _column_set, _Engine
 from tablesynth.table import ColumnType, Id, Schema, Table
 
 from conftest import BENCHMARKS, FRAME_SCHEMA, SHIFT
@@ -464,6 +465,99 @@ def test_groupjoin_type_checks_the_cells_it_computes(monkeypatch, bad):
     monkeypatch.setitem(AGGREGATIONS, "max", lambda values: bad)
     with pytest.raises(SchemaError):
         exec_groupjoin(t, "g", [("max", "v")])
+    # A state's cache keeps only checked columns: every call checks again.
+    state = ExecState({"t": t})
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            exec_transform(state, GroupJoin("u", "t", "g", (("max", "v"),)))
+
+
+def test_a_state_computes_each_groupjoin_aggregate_once(monkeypatch):
+    t = Table("t", Schema([("g", INT), ("v", INT)]), [(1, 4), (1, 5), (2, 7)])
+    groups_seen = []
+    monkeypatch.setitem(AGGREGATIONS, "max",
+                        lambda values: groups_seen.append(values) or max(values))
+    state = ExecState({"t": t})
+    for target, aggs in (("u", (("max", "v"),)),
+                         ("w", (("cnt", "v"), ("max", "v"), ("max", "v")))):
+        exec_transform(state, GroupJoin(target, "t", "g", aggs))
+    assert groups_seen == [[4, 5], [7]]
+
+
+@given(st.data())
+def test_groupjoin_through_a_state_cache_equals_a_fresh_call(data):
+    # Two states define two tables of one schema under swapped names; each
+    # state's cache must serve each name only its own table, across calls
+    # and within a call that repeats an aggregate.
+    t1 = data.draw(_tables("t"))
+    t2 = Table("t", t1.schema, data.draw(st.lists(
+        st.tuples(*(_CELLS[ty] for _, ty in t1.schema.columns)), max_size=8)))
+    states = [ExecState({"t": t1, "u": t2.renamed("u")}),
+              ExecState({"t": t2, "u": t1.renamed("u")})]
+    for k in range(4):
+        col_index, aggs = data.draw(_groupjoin_args(t1))
+        aggs += data.draw(st.lists(st.sampled_from(aggs), max_size=2))
+        src = data.draw(st.sampled_from(["t", "u"]))
+        for state in data.draw(st.permutations(states)):
+            got = exec_transform(state, GroupJoin(f"g{k}", src, col_index,
+                                                  tuple(aggs)))
+            fresh = exec_groupjoin(state[src], col_index, aggs, f"g{k}")
+            assert got == fresh and got.name == fresh.name
+            assert got.rows == _groupjoin_by_rescan(state[src], col_index, aggs)
+
+
+def _renamed_stmt(stmt, names: dict):
+    """``stmt`` over the source ``t`` with its column names mapped by
+    ``names``."""
+    def pred(p):  # a depth-1 predicate: an atom or a negated atom
+        if isinstance(p, Not):
+            return Not(pred(p.inner))
+        return SymbolApp(p.symbol, names[p.col],
+                         names[p.arg] if p.arg_is_col else p.arg, p.arg_is_col)
+    if isinstance(stmt, Filter):
+        return Filter(stmt.target, "t", pred(stmt.predicate))
+    if isinstance(stmt, GroupJoin):
+        return GroupJoin(stmt.target, "t", names[stmt.col_index],
+                         tuple((agg, names[col]) for agg, col in stmt.aggs))
+    return Order(stmt.target, "t", names[stmt.col], stmt.c_start, stmt.c_inv,
+                 names.get(stmt.col_index))
+
+
+@given(st.data())
+def test_tables_equal_up_to_duplicate_columns_give_equal_column_sets(data):
+    # Forward search keeps one of two tables with one column set. Every
+    # depth-1 statement over the copy must then have a counterpart over the
+    # table it merges into, with an equal column set or the same failure.
+    base = data.draw(_tables("b"))
+    n = len(base.schema)
+    # The copy's columns: each column of the base, in any order, some twice.
+    picks = data.draw(st.permutations(range(n)))
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        picks.insert(data.draw(st.integers(picks.index(i) + 1, len(picks))), i)
+    copy = Table("tp", Schema((f"d{k}", base.schema.columns[i][1])
+                              for k, i in enumerate(picks)),
+                 [tuple(row[i] for i in picks) for row in base.rows])
+    # The table it merges into: its first occurrence of each column.
+    first = sorted(range(n), key=picks.index)
+    t = Table("t", Schema(base.schema.columns[i] for i in first),
+              [tuple(row[i] for i in first) for row in base.rows])
+    assert _column_set(copy) == _column_set(t)
+    names = {f"d{k}": base.schema.names[i] for k, i in enumerate(picks)}
+    sig = ActionSignature("act", tuple(copy.schema.columns))
+    out = Table("to", sig.output_schema(), [("act",) + r for r in copy.rows])
+    engine = _Engine(SynthTask((copy,), out, sig, (0, -1, "a")))
+    state = ExecState({"tp": copy, "t": t})
+    for stmt in engine._candidates(1):
+        assert not isinstance(stmt, Join)
+        try:
+            want = _column_set(exec_transform(state, stmt))
+        except SchemaError:
+            want = SchemaError
+        try:
+            got = _column_set(exec_transform(state, _renamed_stmt(stmt, names)))
+        except SchemaError:
+            got = SchemaError
+        assert got == want, stmt
 
 
 def _running_program() -> Program:

@@ -557,6 +557,20 @@ def test_solvers_fit_no_instance_with_a_parameter_out_of_range():
     (FeatureFamily.SUBSTRING, {}, SchemaError),
     (FeatureFamily.SUBSTRING, {"extract_spec": "Alpha#1"}, SchemaError),
     (FeatureFamily.CONCAT, {}, SchemaError),
+    # The parameter count and the div and mod divisor and offset rules.
+    (FeatureFamily.LINEAR, {}, SchemaError),
+    (FeatureFamily.LINEAR, {"params": (1, 2, 3)}, SchemaError),
+    (FeatureFamily.SUM, {"params": ()}, SchemaError),
+    (FeatureFamily.DIV, {"params": (0, 0)}, SchemaError),
+    (FeatureFamily.DIV, {"params": (0, 1)}, SchemaError),
+    (FeatureFamily.DIV, {"params": (0,)}, SchemaError),
+    (FeatureFamily.MOD, {"params": (0, 0, 0)}, SchemaError),
+    (FeatureFamily.MOD, {"params": (0, 0, 11)}, SchemaError),
+    (FeatureFamily.MOD, {"params": (2, 0, 2)}, SchemaError),
+    (FeatureFamily.MOD, {"params": (-1, 0, 2)}, SchemaError),
+    (FeatureFamily.MOD, {"params": (0, 2)}, SchemaError),
+    (FeatureFamily.SUBSTRING, {"extract_spec": ExtractSpec((ALPHA,), 1),
+                               "params": (1,)}, SchemaError),
 ])
 def test_feature_instances_are_checked_however_built(family, fields, error):
     # The constructors are one way in; the dataclass is another.

@@ -33,6 +33,7 @@ from tablesynth.table import (
     table_to_json,
     type_of,
     union,
+    value_from_json,
 )
 from tablesynth.features import FeatureFamily, TokenClass
 from tablesynth.progtext import format_program, parse_program
@@ -240,6 +241,22 @@ def test_json_round_trip():
     # Id cells serialize as tagged objects, not bare strings.
     obj = table_to_json(t)
     assert obj["rows"][0][0] == {"id": "e1"}
+
+
+def test_json_values_are_range_checked():
+    assert [value_from_json(v) for v in (-2**63, 2**63 - 1)] == [-2**63, 2**63 - 1]
+    for value in (2**63, -2**63 - 1, 2**70):
+        with pytest.raises(IntRangeError, match="out of 64-bit range"):
+            value_from_json(value)
+
+
+@pytest.mark.parametrize("obj, message", [
+    (None, "NoneType is not a JSON object"), ([], "list is not a JSON object"),
+    ({"name": "t", "columns": []}, "missing 'rows'"),
+])
+def test_malformed_table_objects_are_named(obj, message):
+    with pytest.raises(SchemaError, match=f"^malformed table object: {message}$"):
+        table_from_json(obj)
 
 
 def test_errors_are_a_hierarchy():

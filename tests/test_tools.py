@@ -80,9 +80,9 @@ def test_task_records_of_the_first_sweep_tasks(monkeypatch):
     tool = _load_tool("task_records")
     records = list(tool.task_records("sweep", 404))
     assert [r["status"] for r in records[:40]].count("solved") == 33
-    assert _search_digest(records[:40]) == "4cbf241c7968d469"
+    assert _search_digest(records[:40]) == "86a9336ed104c8ee"
     assert [r["status"] for r in records].count("solved") == 166
-    assert _search_digest(records) == "45f63f2e510e1fd1"
+    assert _search_digest(records) == "d5da3ab3776e93f5"
 
 
 def test_task_records_of_the_parity_baseline(monkeypatch):
