@@ -41,23 +41,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _env(name: str, default: str) -> str:
-    # argparse runs a string default through the flag's ``type``, so a
-    # malformed value is reported as a usage error.
+def _env(name: str, default):
+    # argparse runs a string default, as a ``BEE_*`` value is, through the
+    # flag's ``type``, so a malformed value is reported as a usage error.
     return os.environ.get(f"BEE_{name}", default)
 
 
 def _add_settings_flags(p: argparse.ArgumentParser):
-    p.add_argument("--timeout", type=float, default=_env("TIMEOUT", "120"),
-                   help="search budget in seconds (default 120)")
-    p.add_argument("--max-depth", type=int, default=_env("MAX_DEPTH", "3"),
-                   help="maximum transformation depth (default 3)")
+    """The settings flags, defaulting to ``SynthSettings``' own defaults."""
+    d = SynthSettings()
+    p.add_argument("--timeout", type=float, default=_env("TIMEOUT", d.timeout),
+                   help="search budget in seconds (default %(default)s)")
+    p.add_argument("--max-depth", type=int, default=_env("MAX_DEPTH", d.max_depth),
+                   help="maximum transformation depth (default %(default)s)")
     p.add_argument("--hypothesis-bound", type=int,
-                   default=_env("HYPOTHESIS_BOUND", "20"),
-                   help="hypotheses tried per depth (default 20)")
+                   default=_env("HYPOTHESIS_BOUND", d.hypothesis_bound),
+                   help="hypotheses tried per depth (default %(default)s)")
     p.add_argument("--mode", choices=("bi", "forward-only", "both"),
-                   default=_env("MODE", "bi"),
-                   help="search mode (default bi)")
+                   default=_env("MODE", d.mode),
+                   help="search mode (default %(default)s)")
 
 
 def _settings(args, mode: str) -> SynthSettings:
@@ -97,12 +99,15 @@ def _load_exec_inputs(path: Path, use_pending: bool):
         tables = case.pending if use_pending else case.inputs
         return list(tables), case.action
     try:
+        args, tables = obj["action"]["args"], obj["tables"]
+        if not isinstance(args, list) or not isinstance(tables, list):
+            raise BenchmarkFormatError(f"{path}: action args and tables must "
+                                       "be JSON arrays")
         action = ActionSignature(
             obj["action"]["name"],
-            tuple((a["name"], ColumnType(a["type"]))
-                  for a in obj["action"]["args"]),
+            tuple((a["name"], ColumnType(a["type"])) for a in args),
         )
-        tables = [table_from_json(t) for t in obj["tables"]]
+        tables = [table_from_json(t) for t in tables]
     except KeyError as exc:
         raise BenchmarkFormatError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -1,10 +1,12 @@
 """Higher-order feature families and their parameter solvers.
 
 Six families are supported: linear, div, mod, and sum over integers, and
-substring/concat over strings. ``FAMILIES`` is the one definition of each
-family's value type, input count, row-wise application and constructor;
-the family list of a signature, an instance's types and arity, and the
-text parser's constructors derive from it. Each family also has a solver
+substring/concat over strings. A ``FeatureInstance`` is a family and its
+parameters. ``FAMILIES`` is the one definition of each family's value type,
+input count, parameter kinds and row-wise application; the family list of
+a signature, an instance's checks, types and arity, and the text parser's
+instances derive from it. Substring's one parameter is an ExtractSpec and
+concat's a ConcatProgram. Each family also has a solver
 (a ``solve_*`` function) that instantiates the free parameters from
 (input, expected output) pairs. Solvers are deterministic: given the same
 pairs they return the same instance, with documented tie-breaking
@@ -178,43 +180,65 @@ class ConcatProgram:
 # Concrete feature instances.
 
 
-#: Integer family -> its parameter count; the string families take none.
-_PARAM_COUNT = {FeatureFamily.LINEAR: 2, FeatureFamily.DIV: 2,
-                FeatureFamily.MOD: 3, FeatureFamily.SUM: 1}
+#: family -> (value type, input count or None for any count, parameter
+#: kinds, row function). Inputs and output share the value type. An
+#: instance holds one parameter per kind: an ``int`` kind is an Int value.
+#: The row function takes the instance, then one row's input values.
+FAMILIES = {
+    FeatureFamily.LINEAR: (
+        ColumnType.INT, 1, (int, int),
+        lambda f, x: check_int(f.params[0] * x + f.params[1])),
+    FeatureFamily.DIV: (
+        ColumnType.INT, 1, (int, int),
+        lambda f, x: check_int((x + f.params[0]) // f.params[1])),
+    FeatureFamily.MOD: (
+        ColumnType.INT, 1, (int, int, int),
+        lambda f, x: check_int((x + f.params[0]) % f.params[2] + f.params[1])),
+    FeatureFamily.SUM: (
+        ColumnType.INT, 2, (int,),
+        lambda f, x, y: check_int(x + y + f.params[0])),
+    FeatureFamily.SUBSTRING: (
+        ColumnType.STR, 1, (ExtractSpec,),
+        lambda f, x: extract(f.params[0], x)),
+    FeatureFamily.CONCAT: (
+        ColumnType.STR, None, (ConcatProgram,),
+        lambda f, *xs: f.params[0].run(xs)),
+}
 
 
 @dataclass(frozen=True)
 class FeatureInstance:
-    """A fully instantiated feature: family plus family-specific parameters,
-    checked however it is built: an integer family's are Int values (so
-    IntRangeError past 64 bits), as many as the family takes, with a ``div``
-    divisor of at least 2 and a ``mod`` divisor in [2, 10] above its offset
-    b1; substring holds an ExtractSpec and concat a ConcatProgram, and
-    neither takes parameters (SchemaError otherwise)."""
+    """A fully instantiated feature: a family and its parameters, checked
+    however the instance is built against the family's ``FAMILIES`` row:
+    one parameter per kind, each of its kind (an Int value for ``int``, so
+    IntRangeError past 64 bits), with a ``div`` divisor of at least 2 and a
+    ``mod`` divisor in [2, 10] above its offset b1 (SchemaError otherwise).
+    Substring's one parameter is its ExtractSpec, concat's its
+    ConcatProgram."""
 
     family: FeatureFamily
     params: tuple = ()
-    extract_spec: Optional[ExtractSpec] = None
-    concat: Optional[ConcatProgram] = None
 
     def __post_init__(self):
-        family = self.family
-        if family is FeatureFamily.SUBSTRING:
-            if not isinstance(self.extract_spec, ExtractSpec):
-                raise SchemaError("substring needs an extract spec")
-        elif family is FeatureFamily.CONCAT:
-            if not isinstance(self.concat, ConcatProgram):
-                raise SchemaError("concat needs a concat program")
-        elif any(type_of(p) is not ColumnType.INT for p in self.params):
-            raise SchemaError(f"{family.value} parameters must be Int values")
-        count = _PARAM_COUNT.get(family, 0)
-        if len(self.params) != count:
-            raise SchemaError(f"{family.value} takes {count} parameters, "
-                              f"got {len(self.params)}")
-        if family is FeatureFamily.DIV and self.params[1] < 2:
+        family, params = self.family, self.params
+        row = FAMILIES.get(family)
+        if row is None:
+            raise SchemaError(f"unknown feature family {family!r}")
+        kinds = row[2]
+        if len(params) != len(kinds):
+            raise SchemaError(f"{family.value} takes {len(kinds)} parameters, "
+                              f"got {len(params)}")
+        for kind, p in zip(kinds, params):
+            if kind is int:
+                if type_of(p) is not ColumnType.INT:
+                    raise SchemaError(f"{family.value} parameters must be Int values")
+            elif not isinstance(p, kind):
+                raise SchemaError(f"{family.value} parameter {p!r} is no "
+                                  f"{kind.__name__}")
+        if family is FeatureFamily.DIV and params[1] < 2:
             raise SchemaError("div dividend must be >= 2")
         if family is FeatureFamily.MOD:
-            b1, _, d = self.params
+            b1, _, d = params
             if not 2 <= d <= 10:
                 raise SchemaError("mod dividend must be in [2, 10]")
             if not 0 <= b1 < d:
@@ -227,7 +251,7 @@ class FeatureInstance:
         count = FAMILIES[self.family][1]
         if count is not None:
             return count
-        return 1 + max((s.input_pos for s in self.concat.segments
+        return 1 + max((s.input_pos for s in self.params[0].segments
                         if isinstance(s, ExtractSegment)), default=0)
 
     @property
@@ -256,42 +280,17 @@ def sum_feature(b: int) -> FeatureInstance:
 
 
 def substring(spec: ExtractSpec) -> FeatureInstance:
-    return FeatureInstance(FeatureFamily.SUBSTRING, extract_spec=spec)
+    return FeatureInstance(FeatureFamily.SUBSTRING, (spec,))
 
 
 def concat(program: ConcatProgram) -> FeatureInstance:
-    return FeatureInstance(FeatureFamily.CONCAT, concat=program)
-
-
-#: family -> (value type, input count or None for any count, row function,
-#: constructor). Inputs and output share the value type. The row function
-#: takes the instance, then one row's input values.
-FAMILIES = {
-    FeatureFamily.LINEAR: (
-        ColumnType.INT, 1,
-        lambda f, x: check_int(f.params[0] * x + f.params[1]), linear),
-    FeatureFamily.DIV: (
-        ColumnType.INT, 1,
-        lambda f, x: check_int((x + f.params[0]) // f.params[1]), div),
-    FeatureFamily.MOD: (
-        ColumnType.INT, 1,
-        lambda f, x: check_int((x + f.params[0]) % f.params[2] + f.params[1]), mod),
-    FeatureFamily.SUM: (
-        ColumnType.INT, 2,
-        lambda f, x, y: check_int(x + y + f.params[0]), sum_feature),
-    FeatureFamily.SUBSTRING: (
-        ColumnType.STR, 1,
-        lambda f, x: extract(f.extract_spec, x), substring),
-    FeatureFamily.CONCAT: (
-        ColumnType.STR, None,
-        lambda f, *xs: f.concat.run(xs), concat),
-}
+    return FeatureInstance(FeatureFamily.CONCAT, (program,))
 
 
 def apply_feature(f: FeatureInstance, args: Sequence[Value]) -> Value:
     """Row-wise application; raises SchemaError on a wrong input count and
     FeatureMissError on extraction misses."""
-    _, count, row, _ = FAMILIES[f.family]
+    _, count, _, row = FAMILIES[f.family]
     if count is not None and len(args) != count:
         raise SchemaError(f"{f.family.value} takes {count} inputs, got {len(args)}")
     return row(f, *args)

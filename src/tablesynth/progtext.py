@@ -9,8 +9,9 @@ One statement per line:
     Yield("shift", u, id, "GB", linear(-5,-25)(frame), linear(-5,-25)(frame));
 
 Feature instances print as ``linear(-5,-25)``, ``mod(0,0,2)``,
-``substring{Alnum#1}``, ``concat[x0{Alnum#1} "-" x1{Digits#1}]``. The parser
-round-trips everything the printer emits.
+``substring{Alnum#1}``, ``concat[x0{Alnum#1} "-" x1{Digits#1}]``. An Id
+constant prints as ``id:f1``, or ``id:"f 1"`` when its label is no name. The
+parser round-trips everything the printer emits.
 """
 
 from __future__ import annotations
@@ -36,21 +37,18 @@ from .dsl import (
     TransformStmt,
     Yield,
 )
-from .errors import ProgramParseError
+from .errors import IntRangeError, ProgramParseError
 from .features import (
     BASE_TOKEN_CLASSES,
     ConcatProgram,
     ExtractSegment,
     ExtractSpec,
-    FAMILIES,
     FeatureFamily,
     FeatureInstance,
     LiteralSegment,
     TokenClass,
-    concat,
-    substring,
 )
-from .table import ColumnType, Id, Value
+from .table import Id, Value
 
 # ---------------------------------------------------------------------------
 # Printing.
@@ -58,12 +56,12 @@ from .table import ColumnType, Id, Value
 #: Predicate symbols print with a lowercased first letter: ``IsOdd`` -> ``isOdd``.
 _SYMBOL_TEXT = {sym: sym[0].lower() + sym[1:] for sym in PREDICATE_SYMBOLS}
 _TEXT_SYMBOL = {v: k for k, v in _SYMBOL_TEXT.items()}
-_TOKEN_CLASS_NAMES = frozenset(c.kind for c in BASE_TOKEN_CLASSES)
+#: A base token class name. A spec prints its classes with no separator, and
+#: no name is a prefix of another, so a run of names splits one way only:
+#: ``DigitsAlpha`` is Digits then Alpha.
+_TOKEN_CLASS_RE = re.compile("|".join(c.kind for c in BASE_TOKEN_CLASSES))
 #: Feature families print by their enum value: ``linear``, ``concat``, ...
 _FAMILY_NAMES = {fam.value: fam for fam in FeatureFamily}
-#: Int families, whose parameters print as integers, with their constructors.
-_INT_PARAM_MAKERS = {fam: make for fam, (ty, _, _, make) in FAMILIES.items()
-                     if ty is ColumnType.INT}
 
 
 def _quote(s: str) -> str:
@@ -85,23 +83,24 @@ def format_predicate(p: Predicate) -> str:
 
 def _format_const(v: Value) -> str:
     if isinstance(v, Id):
-        return f"id:{v.label}"
+        # A label that is no name is quoted, as a Str constant is.
+        return f"id:{v.label if NAME_RE.fullmatch(v.label) else _quote(v.label)}"
     return _quote(v) if isinstance(v, str) else str(v)
 
 
 def format_feature(f: FeatureInstance) -> str:
     fam = f.family
-    if fam in _INT_PARAM_MAKERS:
-        return f"{fam.value}({','.join(str(p) for p in f.params)})"
     if fam is FeatureFamily.SUBSTRING:
-        return f"substring{f.extract_spec}"
-    segs = []
-    for seg in f.concat.segments:
-        if isinstance(seg, LiteralSegment):
-            segs.append(_quote(seg.text))
-        else:
-            segs.append(f"x{seg.input_pos}{seg.spec}")
-    return f"concat[{' '.join(segs)}]"
+        return f"substring{f.params[0]}"
+    if fam is FeatureFamily.CONCAT:
+        segs = []
+        for seg in f.params[0].segments:
+            if isinstance(seg, LiteralSegment):
+                segs.append(_quote(seg.text))
+            else:
+                segs.append(f"x{seg.input_pos}{seg.spec}")
+        return f"concat[{' '.join(segs)}]"
+    return f"{fam.value}({','.join(str(p) for p in f.params)})"
 
 
 def format_projection(p: Projection) -> str:
@@ -179,6 +178,17 @@ def _unquote(tok: str) -> str:
     return tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
+def _int(digits: str) -> int:
+    """The integer an ``int`` token spells. ``int()`` refuses a literal past
+    its digit limit (4300 by default); such a literal is far outside the
+    signed 64-bit range, so it raises IntRangeError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise IntRangeError(f"integer literal of {len(digits)} characters "
+                            "out of 64-bit range") from None
+
+
 #: Connectives a predicate may nest; far above the search's ``max_depth``,
 #: and far below what would exhaust the interpreter's recursion.
 _MAX_PREDICATE_NESTING = 100
@@ -226,9 +236,11 @@ class _Parser:
             return _unquote(v)
         if k == "int":
             self.pos += 1
-            return int(v)
+            return _int(v)
         if self.at_id_constant():
             self.pos += 2
+            if self.peek()[0] == "str":
+                return Id(_unquote(self.take("str")))
             return Id(self.take("name"))
         raise ProgramParseError(f"expected a constant, found {v!r}")
 
@@ -244,13 +256,14 @@ class _Parser:
                 tokens.append(TokenClass("Punct", v[1]))
             elif k == "name":
                 self.pos += 1
-                if v not in _TOKEN_CLASS_NAMES:
+                kinds = _TOKEN_CLASS_RE.findall(v)
+                if "".join(kinds) != v:
                     raise ProgramParseError(f"unknown token class {v!r}")
-                tokens.append(TokenClass(v))
+                tokens.extend(map(TokenClass, kinds))
             else:
                 raise ProgramParseError(f"bad token class {v!r}")
         self.take(value="#")
-        occ = int(self.take("int"))
+        occ = _int(self.take("int"))
         self.take(value="}")
         return ExtractSpec(tuple(tokens), occ)
 
@@ -258,18 +271,10 @@ class _Parser:
 
     def feature(self, head: str) -> FeatureInstance:
         fam = _FAMILY_NAMES.get(head)
-        if fam in _INT_PARAM_MAKERS:
-            self.take(value="(")
-            params = [int(self.take("int"))]
-            while self.eat(","):
-                params.append(int(self.take("int")))
-            self.take(value=")")
-            try:
-                return _INT_PARAM_MAKERS[fam](*params)
-            except TypeError:
-                raise ProgramParseError(f"wrong parameter count for {head}") from None
+        if fam is None:
+            raise ProgramParseError(f"unknown feature family {head!r}")
         if fam is FeatureFamily.SUBSTRING:
-            return substring(self.extract_spec())
+            return FeatureInstance(fam, (self.extract_spec(),))
         if fam is FeatureFamily.CONCAT:
             self.take(value="[")
             segments = []
@@ -280,12 +285,17 @@ class _Parser:
                     segments.append(LiteralSegment(_unquote(v)))
                 elif k == "name" and re.fullmatch(r"x\d+", v):
                     self.pos += 1
-                    segments.append(ExtractSegment(int(v[1:]), self.extract_spec()))
+                    segments.append(ExtractSegment(_int(v[1:]), self.extract_spec()))
                 else:
                     raise ProgramParseError(f"bad concat segment {v!r}")
             self.take(value="]")
-            return concat(ConcatProgram(tuple(segments)))
-        raise ProgramParseError(f"unknown feature family {head!r}")
+            return FeatureInstance(fam, (ConcatProgram(tuple(segments)),))
+        self.take(value="(")
+        params = [_int(self.take("int"))]
+        while self.eat(","):
+            params.append(_int(self.take("int")))
+        self.take(value=")")
+        return FeatureInstance(fam, tuple(params))
 
     # -- predicates ----------------------------------------------------------
 
@@ -343,8 +353,7 @@ class _Parser:
 
     def statement(self):
         name = self.take("name")
-        if name == "Yield":
-            self.take(value="(")
+        if name == "Yield" and self.eat("("):
             action = ConstP(_unquote(self.take("str")))
             self.take(value=",")
             src = self.take("name")
@@ -393,7 +402,7 @@ class _Parser:
             col = self.take("name")
             c_start, c_inv, col_index = 0, False, None
             if self.eat(","):
-                c_start = int(self.take("int"))
+                c_start = _int(self.take("int"))
                 self.take(value=",")
                 flag = self.take("name")
                 if flag not in ("true", "false"):

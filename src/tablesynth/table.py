@@ -141,13 +141,21 @@ def row_key(row: Sequence[Value]) -> tuple:
     return tuple(v.label if isinstance(v, Id) else v for v in row)
 
 
+def _checked_name(name: str) -> str:
+    """``name``, which must be a ``str``: a table or column name is never
+    converted, so a JSON name of another type is a SchemaError."""
+    if not isinstance(name, str):
+        raise SchemaError(f"name {name!r} is not a string")
+    return name
+
+
 class Schema:
     """Ordered list of (name, type) columns; lookup is by name."""
 
     __slots__ = ("columns", "_index", "_hash")
 
     def __init__(self, columns: Iterable[tuple[str, ColumnType]]):
-        cols = tuple((str(n), t) for n, t in columns)
+        cols = tuple((_checked_name(n), t) for n, t in columns)
         if not cols:
             raise SchemaError("a schema must have at least one column")
         names = [n for n, _ in cols]
@@ -205,7 +213,7 @@ class Table:
     __slots__ = ("name", "schema", "rows", "_columns")
 
     def __init__(self, name: str, schema: Schema, rows: Iterable[Sequence[Value]]):
-        self.name = str(name)
+        self.name = _checked_name(name)
         self.schema = schema
         checked = set()
         for row in rows:
@@ -228,7 +236,7 @@ class Table:
         for ``schema``, distinct and in canonical order (see the module
         docstring for who may call this)."""
         t = cls.__new__(cls)
-        t.name = str(name)
+        t.name = _checked_name(name)
         t.schema = schema
         t.rows = tuple(rows)
         return t

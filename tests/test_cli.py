@@ -3,6 +3,7 @@ benchmark report schema."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from tablesynth import cli
 from tablesynth.cli import (
     EXIT_ERROR,
     EXIT_EXHAUSTED,
@@ -19,6 +21,7 @@ from tablesynth.cli import (
     EXIT_TIMEOUT,
     main,
 )
+from tablesynth.synth import SynthSettings
 from tablesynth.table import table_from_json
 
 from conftest import BENCHMARKS, ROOT, SCHEMAS
@@ -101,20 +104,45 @@ def test_exec_pending(capsys):
     assert table_from_json(json.loads(out)) == expected.renamed("out")
 
 
-def test_exec_tables_file(tmp_path, capsys):
+def _wrap_tables_file() -> dict:
+    """A tables file of the wrap case's inputs and action."""
     case = json.loads(Path(WRAP).read_text())
-    tables = {
+    return {
         "action": {"name": "wrap",
                    "args": [{"name": "element", "type": "Id"},
                             {"name": "tag", "type": "Str"}]},
         "tables": case["inputs"],
     }
+
+
+def test_exec_tables_file(tmp_path, capsys):
     p = tmp_path / "tables.json"
-    p.write_text(json.dumps(tables))
+    p.write_text(json.dumps(_wrap_tables_file()))
     code = main(["exec", WRAP_PROG, str(p)])
     out, _ = capsys.readouterr()
     assert code == EXIT_SOLVED
     assert table_from_json(json.loads(out)).nrows == 2
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda f: f.update(tables={}), id="tables-object"),
+    pytest.param(lambda f: f["action"].update(args={}), id="args-object"),
+    pytest.param(lambda f: f["action"]["args"][0].update(name=[1]),
+                 id="arg-name-list"),
+    pytest.param(lambda f: f["tables"][0].update(name=["items"]),
+                 id="table-name-list"),
+    pytest.param(lambda f: f["tables"][0]["columns"][0].update(name=5),
+                 id="column-name-int"),
+])
+def test_exec_tables_file_is_checked_not_converted(tmp_path, capsys, mutate):
+    tables = _wrap_tables_file()
+    mutate(tables)
+    p = tmp_path / "tables.json"
+    p.write_text(json.dumps(tables))
+    code = main(["exec", WRAP_PROG, str(p)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ")
 
 
 def test_exec_invalid_program(tmp_path, capsys):
@@ -136,6 +164,10 @@ def test_exec_invalid_program(tmp_path, capsys):
     pytest.param(b'Yield("wrap", \xff);', None, id="program-not-utf8"),
     pytest.param(b'Yield("wrap", t, linear(2,13835058055282163712)(n));', None,
                  id="feature-parameter-out-of-range"),
+    pytest.param(b"t1 = Filter(items, intEq(num, " + b"9" * 5000 + b"));", None,
+                 id="int-literal-past-digit-limit"),
+    pytest.param(b'Yield("wrap", t, concat[x' + b"1" * 5000 + b"{Alnum#1}](n));",
+                 None, id="concat-position-past-digit-limit"),
 ])
 def test_exec_bad_file_exits_1_without_traceback(tmp_path, program, tables):
     prog_path, tables_path = WRAP_PROG, WRAP
@@ -282,6 +314,30 @@ def test_bench_regression_failure_exit(capsys, tmp_path):
     assert code == EXIT_ERROR
     payload = json.loads(out.split("\n\n")[0])
     assert payload["reports"][0]["regression_failures"] == 1
+
+
+def test_settings_flags_default_to_synth_settings(capsys, monkeypatch):
+    for name in ("TIMEOUT", "MAX_DEPTH", "HYPOTHESIS_BOUND", "MODE"):
+        monkeypatch.delenv(f"BEE_{name}", raising=False)
+    monkeypatch.setenv("COLUMNS", "200")  # no help line wraps
+    args = cli.build_parser().parse_args(["synth", WRAP])
+    assert cli._settings(args, args.mode) == SynthSettings()
+
+    # The flags read the defaults from ``SynthSettings``; they repeat none.
+    @dataclasses.dataclass(frozen=True)
+    class Other(SynthSettings):
+        max_depth: int = 1
+        hypothesis_bound: int = 7
+        timeout: float = 9.5
+        mode: str = "forward-only"
+
+    monkeypatch.setattr(cli, "SynthSettings", Other)
+    args = cli.build_parser().parse_args(["synth", WRAP])
+    assert cli._settings(args, args.mode) == Other()
+    with pytest.raises(SystemExit):
+        main(["synth", "--help"])
+    help_text = capsys.readouterr().out
+    assert "(default 9.5)" in help_text and "(default forward-only)" in help_text
 
 
 def test_usage_error_exits_nonzero(capsys):

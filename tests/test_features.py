@@ -171,7 +171,7 @@ def test_solve_sum_worked_example():
 def test_solve_substring_prefers_alnum():
     f = solve_substring([("tiktok.jpg", "tiktok")])
     assert f is not None
-    assert str(f.extract_spec) == "{Alnum#1}"
+    assert str(f.params[0]) == "{Alnum#1}"
     assert solve_substring([("abc", "zzz")]) is None
 
 
@@ -555,7 +555,7 @@ def test_solvers_fit_no_instance_with_a_parameter_out_of_range():
     (FeatureFamily.DIV, {"params": (True, 2)}, SchemaError),
     (FeatureFamily.SUM, {"params": ("1",)}, SchemaError),
     (FeatureFamily.SUBSTRING, {}, SchemaError),
-    (FeatureFamily.SUBSTRING, {"extract_spec": "Alpha#1"}, SchemaError),
+    (FeatureFamily.SUBSTRING, {"params": ("Alpha#1",)}, SchemaError),
     (FeatureFamily.CONCAT, {}, SchemaError),
     # The parameter count and the div and mod divisor and offset rules.
     (FeatureFamily.LINEAR, {}, SchemaError),
@@ -569,8 +569,9 @@ def test_solvers_fit_no_instance_with_a_parameter_out_of_range():
     (FeatureFamily.MOD, {"params": (2, 0, 2)}, SchemaError),
     (FeatureFamily.MOD, {"params": (-1, 0, 2)}, SchemaError),
     (FeatureFamily.MOD, {"params": (0, 2)}, SchemaError),
-    (FeatureFamily.SUBSTRING, {"extract_spec": ExtractSpec((ALPHA,), 1),
-                               "params": (1,)}, SchemaError),
+    (FeatureFamily.SUBSTRING, {"params": (ExtractSpec((ALPHA,), 1), 1)},
+     SchemaError),
+    ("linear", {"params": (1, 0)}, SchemaError),
 ])
 def test_feature_instances_are_checked_however_built(family, fields, error):
     # The constructors are one way in; the dataclass is another.

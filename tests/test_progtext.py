@@ -5,10 +5,13 @@ from __future__ import annotations
 import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tablesynth.dsl import (
+    AGGREGATIONS,
     PREDICATE_SYMBOLS,
     ActionSignature,
+    And,
     ColP,
     ConstP,
     Filter,
@@ -25,6 +28,7 @@ from tablesynth.dsl import (
 )
 from tablesynth.errors import IntRangeError, ProgramParseError
 from tablesynth.features import (
+    BASE_TOKEN_CLASSES,
     ConcatProgram,
     ExtractSegment,
     ExtractSpec,
@@ -39,6 +43,7 @@ from tablesynth.features import (
     sum_feature,
 )
 from tablesynth.progtext import (
+    NAME_RE,
     format_feature,
     format_predicate,
     format_program,
@@ -81,7 +86,8 @@ def test_round_trip_all_statement_kinds():
         't2 = GroupJoin(t1, g, max(v), cnt(g));\n'
         't3 = Order(t2, v, 0, false, g);\n'
         't4 = Filter(t3, and(intLt(v, 3), not(strEq(s, "x"))));\n'
-        'Yield("act", t4, id:e1, sum(-2)(a, b), "lit", 7);\n'
+        'Yield = Filter(t4, strEq(s, id:"a \\"b\\""));\n'
+        'Yield("act", Yield, id:e1, id:"e 1", sum(-2)(a, b), "lit", 7);\n'
     )
     prog = parse_program(text)
     assert format_program(prog) == text
@@ -89,6 +95,9 @@ def test_round_trip_all_statement_kinds():
     assert isinstance(prog.transform[1], GroupJoin)
     assert isinstance(prog.transform[2], Order)
     assert isinstance(prog.transform[3], Filter)
+    # A table may be named ``Yield``; an Id label that is no name is quoted.
+    assert prog.transform[4].target == "Yield"
+    assert prog.mapping[0].projections[2] == ConstP(Id("e 1"))
 
 
 def test_predicate_round_trip():
@@ -102,6 +111,9 @@ def test_predicate_round_trip():
 def test_feature_round_trip():
     for f in (linear(3, -7), mod(1, -4, 5),
               substring(ExtractSpec((TokenClass("Digits"),), -2)),
+              # Class names print with no separator: ``{DigitsAlphaAlnum#1}``.
+              substring(ExtractSpec((TokenClass("Digits"), TokenClass("Alpha"),
+                                     TokenClass("Alnum")), 1)),
               concat(ConcatProgram((
                   ExtractSegment(0, ExtractSpec((TokenClass("Alnum"),), 1)),
                   LiteralSegment("-"),
@@ -205,6 +217,9 @@ def test_parse_rejects_garbage():
             parse_program(text)
     with pytest.raises(ProgramParseError):
         parse_predicate("strEq(tag, id")
+    for text in ("substring{DigitsFoo#1}", "substring{Digitsx#1}"):
+        with pytest.raises(ProgramParseError, match="unknown token class"):
+            parse_feature(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -225,3 +240,92 @@ def test_parse_bounds_predicate_nesting():
                  "or(" + at_limit + ", " + leaf + ")"):
         with pytest.raises(ProgramParseError, match="nested deeper than 100"):
             parse_predicate(past)
+
+
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_predicate, f"intEq(num, {_LONG})"),
+    (parse_program, f"o = Order(t, v, -{_LONG}, false);\n"),
+    (parse_feature, f"linear({_LONG},0)"),
+    (parse_feature, f"linear(0,{_LONG})"),
+    (parse_feature, f"substring{{Alnum#{_LONG}}}"),
+    (parse_feature, f"concat[x{'1' * 5000}{{Alnum#1}}]"),
+], ids=["constant", "order-start", "first-parameter", "later-parameter",
+        "occurrence", "concat-position"])
+def test_parse_rejects_an_int_literal_past_the_digit_limit(parse, text):
+    # ``int()`` refuses these literals with a ValueError.
+    with pytest.raises(IntRangeError, match="out of 64-bit range"):
+        parse(text)
+
+
+# -- random programs -----------------------------------------------------------
+
+_names = st.from_regex(NAME_RE, fullmatch=True)
+_ints = st.integers(-2**63, 2**63 - 1)
+_constants = st.one_of(_ints, st.text(), st.builds(Id, st.text()))
+
+_token_classes = st.one_of(
+    st.sampled_from(BASE_TOKEN_CLASSES),
+    st.characters().map(lambda c: TokenClass("Punct", c)))
+_specs = st.builds(ExtractSpec, st.lists(_token_classes, min_size=1, max_size=4)
+                   .map(tuple), _ints.filter(bool))
+_features = st.one_of(
+    st.builds(linear, _ints, _ints),
+    st.builds(div, _ints, st.integers(2, 2**63 - 1)),
+    st.integers(2, 10).flatmap(
+        lambda d: st.builds(mod, st.integers(0, d - 1), _ints, st.just(d))),
+    st.builds(sum_feature, _ints),
+    st.builds(substring, _specs),
+    st.lists(st.one_of(st.builds(ExtractSegment, st.integers(0, 99), _specs),
+                       st.builds(LiteralSegment, st.text(min_size=1))),
+             min_size=1, max_size=4)
+    .map(lambda segs: concat(ConcatProgram(tuple(segs)))),
+)
+
+
+def _symbol_apps(symbol: str):
+    """Every form ``symbol`` takes: column, column/column, column/constant."""
+    forms = {"c": st.builds(SymbolApp, st.just(symbol), _names),
+             "cc": st.builds(SymbolApp, st.just(symbol), _names, _names,
+                             st.just(True)),
+             "ck": st.builds(SymbolApp, st.just(symbol), _names, _constants)}
+    return st.one_of([forms[kind] for kind in PREDICATE_SYMBOLS[symbol][0].split()])
+
+
+_predicates = st.recursive(
+    st.sampled_from(list(PREDICATE_SYMBOLS)).flatmap(_symbol_apps),
+    lambda inner: st.one_of(st.builds(Not, inner), st.builds(And, inner, inner),
+                            st.builds(Or, inner, inner)),
+    max_leaves=6)
+
+_projections = st.one_of(
+    st.builds(ColP, _names), st.builds(ConstP, _constants),
+    st.builds(MutateP, _features,
+              st.lists(_names, min_size=1, max_size=3).map(tuple)))
+
+_transforms = st.one_of(
+    st.builds(Filter, _names, _names, _predicates),
+    st.builds(Join, _names, _names, _names, _names, _names),
+    st.builds(GroupJoin, _names, _names, _names,
+              st.lists(st.tuples(st.sampled_from(list(AGGREGATIONS)), _names),
+                       min_size=1, max_size=2).map(tuple)),
+    st.builds(Order, _names, _names, _names, _ints, st.booleans(),
+              st.none() | _names),
+)
+
+_yields = st.builds(
+    Yield, _names,
+    st.builds(lambda action, rest: (ConstP(action),) + tuple(rest),
+              st.text(), st.lists(_projections, max_size=4)))
+
+_programs = st.builds(Program, st.lists(_transforms, max_size=4).map(tuple),
+                      st.lists(_yields, min_size=1, max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs)
+def test_random_programs_round_trip(prog):
+    text = format_program(prog)
+    assert parse_program(text) == prog

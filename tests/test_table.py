@@ -259,6 +259,23 @@ def test_malformed_table_objects_are_named(obj, message):
         table_from_json(obj)
 
 
+@pytest.mark.parametrize("name", [5, ["a"], None, b"a"])
+def test_names_are_checked_not_converted(name):
+    # An unhashable name is a SchemaError too, not a TypeError from the
+    # duplicate-name check.
+    with pytest.raises(SchemaError, match="is not a string"):
+        Schema([(name, INT)])
+    with pytest.raises(SchemaError, match="is not a string"):
+        Table(name, Schema([("a", INT)]), [])
+    with pytest.raises(SchemaError, match="is not a string"):
+        Table("t", Schema([("a", INT)]), []).renamed(name)
+    good = {"name": "t", "columns": [{"name": "a", "type": "Int"}], "rows": []}
+    for obj in ({**good, "name": name},
+                {**good, "columns": [{"name": name, "type": "Int"}]}):
+        with pytest.raises(SchemaError, match="is not a string"):
+            table_from_json(obj)
+
+
 def test_errors_are_a_hierarchy():
     assert issubclass(SchemaError, TableSynthError)
     assert issubclass(IntRangeError, TableSynthError)

@@ -46,7 +46,8 @@ def test_task_records_of_the_corpus():
     assert [r["id"] for r in records] == sorted(programs)
     for r in records:
         assert set(r) == {"id", "status", "program", "forward_tables",
-                          "hypotheses_tried", "matches_solved", "generalized"}
+                          "hypotheses_tried", "hypotheses_untried",
+                          "matches_solved", "generalized"}
         assert r["status"] == "solved" and r["generalized"] is True
         assert r["program"] == programs[r["id"]]
 

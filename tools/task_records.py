@@ -2,9 +2,10 @@
 
 Each task of ``perfbench/workloads.py`` is built from ``--seed`` and solved
 once, as the benchmark solves it (the corpus with ``synthesize``). A record
-holds the task id, the status, the program text, the three search counters
-and whether the program reproduces the held-out output (``null`` when no
-program was returned). Timings are left out, so two runs of one checkout
+holds the task id, the status, the program text, the three search
+counters, the count of hypotheses the bound left untried and whether the
+program reproduces the held-out output (``null`` when no program was
+returned). Timings are left out, so two runs of one checkout
 print the same lines, and a ``diff`` of the output of two checkouts shows
 every task whose search changed. Run from the repository root:
 
@@ -44,6 +45,7 @@ def task_records(workload: str, seed: int):
                         else format_program(result.program)),
             "forward_tables": result.stats.forward_tables,
             "hypotheses_tried": result.stats.hypotheses_tried,
+            "hypotheses_untried": result.stats.hypotheses_untried,
             "matches_solved": result.stats.matches_solved,
             "generalized": generalized,
         }
