@@ -90,14 +90,20 @@ def cmd_synth(args) -> int:
 
 def _load_exec_inputs(path: Path, use_pending: bool):
     """Tables and action from a tables file ({"action", "tables"}) or a
-    benchmark file."""
+    benchmark file; ``use_pending`` asks for a benchmark's pending tables."""
     obj = read_json_file(path)
     if not isinstance(obj, dict):
         raise BenchmarkFormatError(f"{path}: expected a JSON object")
     if "tables" not in obj:
         case = benchmark_from_json(obj, path)
+        if use_pending and not case.pending:
+            raise BenchmarkFormatError(f"{path}: --pending: the benchmark "
+                                       "has no pending tables")
         tables = case.pending if use_pending else case.inputs
         return list(tables), case.action
+    if use_pending:
+        raise BenchmarkFormatError(f"{path}: --pending needs a benchmark "
+                                   "file, not a tables file")
     try:
         args, tables = obj["action"]["args"], obj["tables"]
         if not isinstance(args, list) or not isinstance(tables, list):

@@ -351,8 +351,16 @@ def benchmark_from_json(obj, path: Path) -> BenchmarkCase:
 
 
 def load_benchmark_dir(root) -> list[BenchmarkCase]:
+    """The cases of every ``*.json`` file under the directory ``root``, by
+    id. A root that is no directory or holds no case is an error, so a
+    mistyped path cannot pass as an empty benchmark."""
     root = Path(root)
-    cases = [load_benchmark(p) for p in sorted(root.glob("**/*.json"))]
+    if not root.is_dir():
+        raise BenchmarkFormatError(f"{root}: not a benchmark directory")
+    paths = sorted(root.glob("**/*.json"))
+    if not paths:
+        raise BenchmarkFormatError(f"{root}: no *.json benchmark files")
+    cases = [load_benchmark(p) for p in paths]
     return sorted(cases, key=lambda c: c.id)
 
 

@@ -73,17 +73,6 @@ class Not:
 Predicate = Union[SymbolApp, And, Or, Not]
 
 
-def predicate_size(p: Predicate) -> int:
-    """Number of predicate symbols (leaves)."""
-    if isinstance(p, SymbolApp):
-        return 1
-    if isinstance(p, Not):
-        return predicate_size(p.inner)
-    if isinstance(p, (And, Or)):
-        return predicate_size(p.left) + predicate_size(p.right)
-    raise SchemaError(f"not a predicate: {p!r}")
-
-
 def _leaf_holds(app: SymbolApp, row, schema: Schema) -> bool:
     kinds, _, test = PREDICATE_SYMBOLS[app.symbol]
     v1 = row[schema.index(app.col)]

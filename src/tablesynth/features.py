@@ -100,14 +100,21 @@ BASE_TOKEN_CLASSES = tuple(TokenClass(kind) for kind in _TOKEN_PATTERNS)
 
 @dataclass(frozen=True)
 class ExtractSpec:
-    """k-th maximal match of a token sequence; negative k counts from the end."""
+    """k-th maximal match of a token sequence; negative k counts from the end.
+    The solvers build thousands per search, so the checks are type tests."""
 
     tokens: tuple[TokenClass, ...]
     occurrence: int
 
     def __post_init__(self):
-        if not self.tokens:
+        tokens = self.tokens
+        if type(tokens) is not tuple or any(type(t) is not TokenClass
+                                            for t in tokens):
+            raise SchemaError(f"tokens {tokens!r} are no tuple of TokenClass")
+        if not tokens:
             raise SchemaError("empty token sequence")
+        if type(self.occurrence) is not int:
+            raise SchemaError(f"occurrence {self.occurrence!r} is no int")
         if self.occurrence == 0:
             raise SchemaError("occurrence must be nonzero")
 
@@ -158,11 +165,29 @@ Segment = ExtractSegment | LiteralSegment
 
 @dataclass(frozen=True)
 class ConcatProgram:
+    """A non-empty tuple of segments. Each is checked here, once per
+    program, not once per segment the solver tries: an extract segment
+    reads an ``int`` input position >= 0 with an ExtractSpec, and a
+    literal is a non-empty ``str``."""
+
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        if not self.segments:
-            raise SchemaError("empty concat program")
+        segments = self.segments
+        if type(segments) is not tuple or not segments:
+            raise SchemaError(f"concat segments {segments!r} are no "
+                              "non-empty tuple")
+        for seg in segments:
+            if isinstance(seg, ExtractSegment):
+                pos = seg.input_pos
+                if type(pos) is not int or pos < 0:
+                    raise SchemaError(f"bad concat input position {pos!r}")
+                if not isinstance(seg.spec, ExtractSpec):
+                    raise SchemaError(f"{seg.spec!r} is no ExtractSpec")
+            elif not isinstance(seg, LiteralSegment):
+                raise SchemaError(f"{seg!r} is no concat segment")
+            elif type(seg.text) is not str or not seg.text:
+                raise SchemaError(f"bad concat literal {seg.text!r}")
 
     def run(self, inputs: Sequence[str]) -> str:
         pieces = []

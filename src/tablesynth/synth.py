@@ -3,10 +3,10 @@
 Forward direction: depth-bounded enumeration of transform statements, with
 observational equivalence classing. Each depth is one stream of candidate
 statements (``_Engine._candidates``); a candidate whose table is new and
-non-empty is kept, and any other is dropped. A table is new when no kept
-table is equal to it and, for a derived table, none holds the same set of
-typed columns (``_column_set``): such tables differ only in duplicated or
-reordered columns, so either one answers for the other. GroupJoins share
+non-empty is kept, and any other is dropped. Every input is kept. A derived
+table is new when no kept table holds the same set of typed columns
+(``_column_set``): such tables differ only in duplicated or reordered
+columns, so either one answers for the other. GroupJoins share
 their groupings and aggregate columns through the engine's ``ExecState``,
 so each is computed once per search. A candidate's target is named
 ``t<k>`` when it is drawn, where ``k`` counts the tables kept so far (inputs
@@ -411,7 +411,6 @@ class _Engine:
         self.stats = SynthStats(mode=self.settings.mode)
         self.entries: list[ForwardEntry] = []
         self.state = ExecState()  # every entry's table, by name
-        self.seen_tables: set[Table] = set()
         self.seen_columns: set[frozenset] = set()
         self.pred_memo: dict = {}
         self.solver_cache: dict = {}
@@ -432,16 +431,14 @@ class _Engine:
         return f"t{k}"
 
     def _add_entry(self, stmt, table: Table, depth: int) -> bool:
-        """Keep ``table`` unless an equal table is kept or, for a derived
-        table, a kept table has the same column set (``_column_set``)."""
-        if table in self.seen_tables:
-            return False
+        """Keep ``table`` if it is an input (``stmt`` None), which the
+        program may name, or if no kept table has its column set
+        (``_column_set``)."""
         columns = _column_set(table)
         if stmt is not None and columns in self.seen_columns:
             return False
         self.entries.append(ForwardEntry(stmt, table, depth))
         self.state.define(table)
-        self.seen_tables.add(table)
         self.seen_columns.add(columns)
         return True
 

@@ -152,7 +152,7 @@ def _checked_name(name: str) -> str:
 class Schema:
     """Ordered list of (name, type) columns; lookup is by name."""
 
-    __slots__ = ("columns", "_index", "_hash")
+    __slots__ = ("columns", "_index")
 
     def __init__(self, columns: Iterable[tuple[str, ColumnType]]):
         cols = tuple((_checked_name(n), t) for n, t in columns)
@@ -166,8 +166,6 @@ class Schema:
                 raise SchemaError(f"bad column type {t!r}")
         self.columns = cols
         self._index = {n: i for i, (n, _) in enumerate(cols)}
-        # Every seen-table lookup hashes a schema.
-        self._hash = hash(cols)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -192,7 +190,7 @@ class Schema:
         return isinstance(other, Schema) and self.columns == other.columns
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.columns)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}:{t}" for n, t in self.columns)

@@ -51,6 +51,29 @@ def test_synth_stops_keeping_tables_at_the_first_match(capsys):
             stats["hypotheses_untried"]) == (23, 1, 0)
 
 
+def test_synth_with_equal_input_tables(tmp_path, capsys):
+    # t2 holds t1's rows; both stay inputs, so no derived table is named t2.
+    columns = [{"name": "id", "type": "Id"}, {"name": "n", "type": "Int"}]
+    rows = [[{"id": f"e{i}"}, i] for i in range(1, 7)]
+    field = {"name": "id", "types": ["Id"]}
+    path = tmp_path / "equal-inputs.json"
+    path.write_text(json.dumps({
+        "id": "equal-inputs",
+        "domain_spec": {"name": "d", "actions": [{"name": "act", "args": [field]}],
+                        "entities": [{"name": "e", "fields": [
+                            field, {"name": "n", "types": ["Int"]}]}]},
+        "inputs": [{"name": name, "columns": columns, "rows": rows}
+                   for name in ("t1", "t2")],
+        "output": {"name": "out",
+                   "columns": [{"name": "action", "type": "Str"}, columns[0]],
+                   "rows": [["act", {"id": f"e{i}"}] for i in (1, 3, 5)]},
+    }))
+    code = main(["synth", str(path)])
+    out, _ = capsys.readouterr()
+    assert code == EXIT_SOLVED
+    assert out == 't3 = Filter(t1, isOdd(n));\nYield("act", t3, id);\n'
+
+
 def test_synth_both_modes(capsys):
     code = main(["synth", WRAP, "--mode", "both"])
     out, err = capsys.readouterr()
@@ -102,6 +125,32 @@ def test_exec_pending(capsys):
     case = json.loads(Path(WRAP).read_text())
     expected = table_from_json(case["expected"])
     assert table_from_json(json.loads(out)) == expected.renamed("out")
+
+
+def test_exec_pending_with_a_tables_file_is_an_error(tmp_path, capsys):
+    # A tables file has no pending tables; --pending is not ignored.
+    p = tmp_path / "tables.json"
+    p.write_text(json.dumps(_wrap_tables_file()))
+    code = main(["exec", WRAP_PROG, str(p), "--pending"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR and out == ""
+    assert err == (f"error: {p}: --pending needs a benchmark file, "
+                   "not a tables file\n")
+
+
+def test_exec_pending_without_pending_tables_is_an_error(tmp_path, capsys):
+    # Not "invalid program": the program is fine, the tables are missing.
+    p = tmp_path / "case.json"
+    case = json.loads(Path(WRAP).read_text())
+    del case["pending"], case["expected"]
+    p.write_text(json.dumps(case))
+    assert main(["exec", WRAP_PROG, str(p)]) == EXIT_SOLVED
+    capsys.readouterr()
+    code = main(["exec", WRAP_PROG, str(p), "--pending"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR and out == ""
+    assert err == (f"error: {p}: --pending: the benchmark has no pending "
+                   "tables\n")
 
 
 def _wrap_tables_file() -> dict:
@@ -300,6 +349,23 @@ def test_bench_report_matches_schema(capsys, tmp_path):
     assert report["solved"] == report["total"] == 1
     assert report["regression_failures"] == 0
     assert "wrap-items" in out.split("\n\n", 1)[1]
+
+
+@pytest.mark.parametrize("where, message", [
+    ("missing", "not a benchmark directory"),
+    ("file", "not a benchmark directory"),
+    ("empty", "no *.json benchmark files"),
+])
+def test_bench_on_a_path_without_cases_is_an_error(tmp_path, capsys, where,
+                                                    message):
+    # A mistyped path must not pass the regression gate as "solved 0/0".
+    path = {"missing": tmp_path / "missing",
+            "file": BENCHMARKS / "file" / "delete-pdf.json",
+            "empty": tmp_path}[where]
+    code = main(["bench", str(path)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: {path}: {message}\n"
 
 
 def test_bench_regression_failure_exit(capsys, tmp_path):

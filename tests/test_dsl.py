@@ -34,7 +34,6 @@ from tablesynth.dsl import (
     exec_program,
     exec_transform,
     exec_yield,
-    predicate_size,
     validate_program,
 )
 from tablesynth.errors import IntRangeError, SchemaError, ValidationFailure
@@ -199,12 +198,6 @@ def test_yield_rejects_another_action(frames_in):
                         ColP("frame")))
     with pytest.raises(SchemaError, match="names action 'blur'"):
         exec_yield(ExecState({"ti": frames_in}), stmt, SHIFT)
-
-
-def test_predicate_size_counts_leaves():
-    p = And(SymbolApp("IsOdd", "a"),
-            Or(SymbolApp("IntEq", "a", 1), Not(SymbolApp("IntLt", "a", 5))))
-    assert predicate_size(p) == 3
 
 
 def test_join_only_id_columns_and_prefixing():
@@ -699,13 +692,6 @@ def test_malformed_program_is_a_named_violation(frames_in, program, violation):
 def test_eval_predicate_rejects_a_non_predicate(frames_in):
     with pytest.raises(SchemaError, match="not a predicate: 42"):
         eval_predicate(42, frames_in.rows[0], frames_in.schema)
-
-
-def test_predicate_size_rejects_a_non_predicate():
-    with pytest.raises(SchemaError, match="not a predicate: 42"):
-        predicate_size(42)
-    with pytest.raises(SchemaError, match="not a predicate: 42"):
-        predicate_size(Not(And(SymbolApp("IsOdd", "a"), 42)))
 
 
 def test_exec_yield_rejects_a_non_yield(frames_in):

@@ -579,6 +579,25 @@ def test_feature_instances_are_checked_however_built(family, fields, error):
         FeatureInstance(family, **fields)
 
 
+_SPEC = ExtractSpec((ALNUM,), 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ConcatProgram((ExtractSegment(-1, _SPEC),)),
+    lambda: ConcatProgram((ExtractSegment(True, _SPEC),)),
+    lambda: ExtractSpec((ALNUM,), 1.5),
+    lambda: ExtractSpec(("Alnum",), 1),
+    lambda: ConcatProgram((LiteralSegment(5),)),
+    lambda: ConcatProgram([LiteralSegment("a")]),
+], ids=["negative-input-position", "bool-input-position",
+        "float-occurrence", "str-token", "int-literal", "list-of-segments"])
+def test_string_feature_parameters_are_checked_however_built(build):
+    # Each of these used to build, then print text that does not parse or
+    # fail with a raw TypeError or AttributeError when applied.
+    with pytest.raises(SchemaError):
+        build()
+
+
 # -- family enumeration --------------------------------------------------------
 
 INT, STR, ID = ColumnType.INT, ColumnType.STR, ColumnType.ID

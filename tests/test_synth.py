@@ -10,11 +10,12 @@ import time
 import weakref
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tablesynth.features as features
 from tablesynth.domains import load_benchmark
-from tablesynth.dsl import ActionSignature, MutateP, exec_program
+from tablesynth.dsl import (ActionSignature, MutateP, exec_program,
+                            validate_program)
 from tablesynth.errors import IntRangeError, SchemaError
 from tablesynth.progtext import format_program
 from tablesynth.synth import (
@@ -814,6 +815,47 @@ def test_kept_tables_differ_in_their_column_sets():
     entries = _fully_kept(_benchmark("spreadsheet/pass-fail")(SynthSettings()), 1)
     keys = [_column_set(e.table) for e in entries]
     assert len(keys) == len(set(keys)) == 96
+
+
+def test_equal_inputs_are_both_kept_and_named():
+    # t2 holds t1's rows. Each is an input the program may name, so both are
+    # kept, and no derived table takes the name t2.
+    t1 = Table("t1", Schema([("id", ID), ("n", INT)]),
+               [(Id(f"e{i}"), i) for i in range(1, 7)])
+    action = ActionSignature("act", (("id", ID),))
+    out = Table("out", action.output_schema(),
+                [("act", Id(f"e{i}")) for i in (1, 3, 5)])
+    engine = _Engine(SynthTask((t1, t1.renamed("t2")), out, action))
+    result = engine.run()
+    assert result.status == "solved"
+    assert format_program(result.program) == ("t3 = Filter(t1, isOdd(n));\n"
+                                              'Yield("act", t3, id);\n')
+    assert [e.table.name for e in engine.entries[:2]] == ["t1", "t2"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 4), st.booleans())
+def test_every_input_is_kept_and_derived_tables_differ_in_column_sets(
+        seed, k, copy_first):
+    # A copy of the input under a name the engine could also hand out.
+    task, _ = random_task(random.Random(seed), SynthSettings(max_depth=1))
+    (items,) = task.inputs
+    copy = items.renamed(f"t{k}")
+    inputs = (copy, items) if copy_first else (items, copy)
+    task = SynthTask(inputs, task.output, task.action, task.constants,
+                     task.settings)
+    engine = _Engine(task)
+    result = engine.run()
+    for t in inputs:
+        assert engine.state[t.name] is t
+    derived = [_column_set(e.table) for e in engine.entries if e.stmt]
+    kept = [_column_set(e.table) for e in engine.entries]
+    assert len(set(derived)) == len(derived)
+    assert not set(derived) & {_column_set(t) for t in inputs}
+    assert len(kept) - len(set(kept)) == 1  # the copy's
+    if result.program is not None:
+        assert validate_program(result.program, [t.schema for t in inputs],
+                                [t.name for t in inputs], task.action) == []
 
 
 def test_tracer_hooks_reach_the_engine(monkeypatch):
