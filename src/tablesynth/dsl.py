@@ -81,15 +81,23 @@ def _leaf_holds(app: SymbolApp, row, schema: Schema) -> bool:
     return test(v1, row[schema.index(app.arg)] if app.arg_is_col else app.arg)
 
 
-def _holds(p: Predicate, row, schema: Schema) -> bool:
-    """``p`` on ``row``, for a ``p`` that ``_check_predicate`` accepted."""
+def predicate_mask(t: Table, p: Predicate, cache: dict) -> int:
+    """The rows of ``t`` that satisfy a ``p`` that ``_check_predicate``
+    accepted over ``t.schema``, as a mask: bit ``i`` is set when row ``i``
+    does. Each atom is tested row by row, and its mask is kept in ``cache``
+    under ``(t.name, atom)``; ``Not``, ``And`` and ``Or`` combine masks."""
     if isinstance(p, SymbolApp):
-        return _leaf_holds(p, row, schema)
+        key = (t.name, p)
+        mask = cache.get(key)
+        if mask is None:
+            mask = cache[key] = sum(1 << i for i, row in enumerate(t.rows)
+                                    if _leaf_holds(p, row, t.schema))
+        return mask
     if isinstance(p, Not):
-        return not _holds(p.inner, row, schema)
-    if isinstance(p, And):
-        return _holds(p.left, row, schema) and _holds(p.right, row, schema)
-    return _holds(p.left, row, schema) or _holds(p.right, row, schema)
+        return ((1 << t.nrows) - 1) ^ predicate_mask(t, p.inner, cache)
+    left = predicate_mask(t, p.left, cache)
+    right = predicate_mask(t, p.right, cache)
+    return left & right if isinstance(p, And) else left | right
 
 
 def eval_predicate(p: Predicate, row, schema: Schema) -> bool:
@@ -97,7 +105,8 @@ def eval_predicate(p: Predicate, row, schema: Schema) -> bool:
     SchemaError when ``p`` is not a predicate or is mistyped for ``schema``,
     and IntRangeError when one of its Int constants is out of range."""
     _check_predicate(p, schema)
-    return _holds(p, row, schema)
+    return predicate_mask(Table._canonical("row", schema, [tuple(row)]), p,
+                          {}) == 1
 
 
 def _check_predicate(p: Predicate, schema: Schema):
@@ -243,8 +252,10 @@ class Program:
 class ExecState:
     """Defined tables, keyed by name. ``exec_transform`` reads it; only
     ``define`` grows it. A name is defined once and never rebound, so
-    ``cache`` keeps what GroupJoins compute from a table under its name
-    (see ``exec_groupjoin``)."""
+    ``cache`` keeps what operators compute from a table under its name:
+    each predicate atom's row mask (``predicate_mask``), each GroupJoin
+    grouping and aggregate column (``exec_groupjoin``) and each Order rank
+    column (``exec_order``)."""
 
     tables: dict[str, Table] = field(default_factory=dict)
     cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -265,15 +276,20 @@ class ExecState:
 # Transformation semantics.
 
 
-def exec_filter(t: Table, predicate: Predicate, name: str = "filtered") -> Table:
+def exec_filter(t: Table, predicate: Predicate, name: str = "filtered",
+                cache: Optional[dict] = None) -> Table:
+    """The rows of ``t`` that satisfy ``predicate``. ``cache`` holds atom
+    masks as ``predicate_mask`` keeps them: an ``ExecState`` passes its
+    own; a call without one computes its own."""
     _check_predicate(predicate, t.schema)
-    return _filtered(t, predicate, name)
+    return _filtered(t, predicate, name, {} if cache is None else cache)
 
 
-def _filtered(t: Table, predicate: Predicate, name: str) -> Table:
+def _filtered(t: Table, predicate: Predicate, name: str, cache: dict) -> Table:
     """The rows of ``t`` that satisfy a ``predicate`` that ``_check_predicate``
-    accepted over ``t.schema``."""
-    rows = [r for r in t.rows if _holds(predicate, r, t.schema)]
+    accepted over ``t.schema``, selected by its mask."""
+    mask = predicate_mask(t, predicate, cache)
+    rows = [r for i, r in enumerate(t.rows) if mask >> i & 1]
     return Table._canonical(name, t.schema, rows)
 
 
@@ -308,14 +324,14 @@ def _fresh_col(base: str, schema_names) -> str:
     return f"{base}_{k}"
 
 
-def _int_column(vals: list, col: str, name: str) -> list:
-    """``vals``, once each is checked to be an Int value of the column
-    ``col`` of the table ``name``."""
+def _int_column(vals: list, col: str, name: str) -> tuple[int, ...]:
+    """``vals`` as a tuple, once each is checked to be an Int value of the
+    column ``col`` of the table ``name``."""
     for v in vals:
         if type_of(v) is not ColumnType.INT:
             raise SchemaError(f"cell {v!r} does not match column "
                               f"{col}:{ColumnType.INT} in {name!r}")
-    return vals
+    return tuple(vals)
 
 
 def _with_int_columns(
@@ -340,10 +356,18 @@ def exec_groupjoin(
     name: str = "grouped", cache: Optional[dict] = None,
 ) -> Table:
     """``t`` extended by each aggregate of its row's group by ``col_index``.
-    ``cache`` holds, per ``(t.name, col_index)``, the grouping and, per
-    ``(t.name, col_index, agg, col)``, the checked aggregate column: an
-    ``ExecState`` passes its own, so each is computed once per state; a
-    call without one computes its own."""
+    ``cache`` holds what ``_groupjoin_columns`` keeps: an ``ExecState``
+    passes its own, so each grouping and column is computed once per
+    state; a call without one computes its own."""
+    return _with_int_columns(t, _groupjoin_columns(
+        t, col_index, aggs, name, {} if cache is None else cache), name)
+
+
+def _groupjoin_columns(t: Table, col_index: str, aggs: Sequence[tuple[str, str]],
+                       name: str, cache: dict) -> list[tuple[str, tuple]]:
+    """The (base name, values) columns a GroupJoin appends to ``t``.
+    ``cache`` keeps, per ``(t.name, col_index)``, the grouping and, per
+    ``(t.name, col_index, agg, col)``, the checked aggregate column."""
     if not aggs:
         raise SchemaError("groupjoin needs at least one aggregation")
     gi = t.schema.index(col_index)
@@ -353,8 +377,6 @@ def exec_groupjoin(
         ty = t.schema.type_of(col)
         if agg != "cnt" and ty is not ColumnType.INT:
             raise SchemaError(f"{agg} over non-Int column {col!r}")
-    if cache is None:
-        cache = {}
     key = (t.name, col_index)
     groups = cache.get(key)
     if groups is None:
@@ -371,7 +393,7 @@ def exec_groupjoin(
             vals = cache[key + (agg, col)] = _int_column(
                 [per_group[row[gi]] for row in t.rows], f"{agg}_{col}", name)
         columns.append((f"{agg}_{col}", vals))
-    return _with_int_columns(t, columns, name)
+    return columns
 
 
 def exec_order(
@@ -381,36 +403,68 @@ def exec_order(
     c_inv: bool = False,
     col_index: Optional[str] = None,
     name: str = "ordered",
+    cache: Optional[dict] = None,
 ) -> Table:
+    """``t`` extended by each row's rank on ``col`` within its group by
+    ``col_index`` (all rows when None), counted from ``c_start``. ``cache``
+    holds what ``_order_columns`` keeps, as for ``exec_groupjoin``."""
+    return _with_int_columns(t, _order_columns(
+        t, col, c_start, c_inv, col_index, name,
+        {} if cache is None else cache), name)
+
+
+def _order_columns(t: Table, col: str, c_start: int, c_inv: bool,
+                   col_index: Optional[str], name: str,
+                   cache: dict) -> list[tuple[str, tuple]]:
+    """The one (base name, values) column an Order appends to ``t``.
+    ``cache`` keeps the checked ranks per ``(t.name, col, c_start, c_inv,
+    col_index)``."""
     ty = t.schema.type_of(col)
     if ty is ColumnType.ID:
         raise SchemaError(f"cannot order on Id column {col!r}")
     # Checked before any row, so the validator's empty-table probe sees it;
     # ``_int_column`` range-checks every rank.
     check_int(c_start)
-    ci = t.schema.index(col)
-    gi = t.schema.index(col_index) if col_index is not None else None
+    key = (t.name, col, c_start, c_inv, col_index)
+    ranks = cache.get(key)
+    if ranks is None:
+        ci = t.schema.index(col)
+        gi = t.schema.index(col_index) if col_index is not None else None
 
-    def group_of(row):
-        return None if gi is None else row[gi]
+        def group_of(row):
+            return None if gi is None else row[gi]
 
-    # Per group, its sorted values: a row's rank counts the values strictly
-    # below it (above it when inverted).
-    values: dict[Value, list] = {}
-    for row in t.rows:
-        values.setdefault(group_of(row), []).append(row[ci])
-    for vs in values.values():
-        vs.sort()
-    ranks = []
-    for row in t.rows:
-        vs = values[group_of(row)]
-        if c_inv:
-            smaller = len(vs) - bisect.bisect_right(vs, row[ci])
-        else:
-            smaller = bisect.bisect_left(vs, row[ci])
-        ranks.append(c_start + smaller)
-    return _with_int_columns(
-        t, [(f"ord_{col}", _int_column(ranks, f"ord_{col}", name))], name)
+        # Per group, its sorted values: a row's rank counts the values
+        # strictly below it (above it when inverted).
+        values: dict[Value, list] = {}
+        for row in t.rows:
+            values.setdefault(group_of(row), []).append(row[ci])
+        for vs in values.values():
+            vs.sort()
+        ranks = []
+        for row in t.rows:
+            vs = values[group_of(row)]
+            if c_inv:
+                smaller = len(vs) - bisect.bisect_right(vs, row[ci])
+            else:
+                smaller = bisect.bisect_left(vs, row[ci])
+            ranks.append(c_start + smaller)
+        ranks = cache[key] = _int_column(ranks, f"ord_{col}", name)
+    return [(f"ord_{col}", ranks)]
+
+
+def appended_columns(state: ExecState,
+                     stmt: Union[GroupJoin, Order]) -> list[tuple[str, tuple]]:
+    """The (base name, values) Int columns a GroupJoin or Order appends to
+    its source, computed through ``state.cache`` as ``exec_transform``
+    computes them, so building the table after this call recomputes
+    nothing."""
+    t = state[stmt.src]
+    if isinstance(stmt, GroupJoin):
+        return _groupjoin_columns(t, stmt.col_index, stmt.aggs, stmt.target,
+                                  state.cache)
+    return _order_columns(t, stmt.col, stmt.c_start, stmt.c_inv,
+                          stmt.col_index, stmt.target, state.cache)
 
 
 def exec_transform(state: ExecState, stmt: TransformStmt) -> Table:
@@ -418,16 +472,16 @@ def exec_transform(state: ExecState, stmt: TransformStmt) -> Table:
     named ``stmt.target``. It is not defined in ``state``; the caller
     decides whether to keep it."""
     if isinstance(stmt, Filter):
-        return exec_filter(state[stmt.src], stmt.predicate, stmt.target)
+        return exec_filter(state[stmt.src], stmt.predicate, stmt.target,
+                           state.cache)
     if isinstance(stmt, Join):
         return exec_join(state[stmt.src1], state[stmt.src2], stmt.col1, stmt.col2, stmt.target)
     if isinstance(stmt, GroupJoin):
         return exec_groupjoin(state[stmt.src], stmt.col_index, stmt.aggs,
                               stmt.target, state.cache)
     if isinstance(stmt, Order):
-        return exec_order(
-            state[stmt.src], stmt.col, stmt.c_start, stmt.c_inv, stmt.col_index, stmt.target
-        )
+        return exec_order(state[stmt.src], stmt.col, stmt.c_start, stmt.c_inv,
+                          stmt.col_index, stmt.target, state.cache)
     raise SchemaError(f"not a transform statement: {stmt!r}")
 
 
@@ -531,7 +585,8 @@ def exec_program(
         state.define(t)
     for i, stmt in enumerate(program.transform):
         try:
-            state.define(_filtered(state[stmt.src], stmt.predicate, stmt.target)
+            state.define(_filtered(state[stmt.src], stmt.predicate, stmt.target,
+                                   state.cache)
                          if isinstance(stmt, Filter) else exec_transform(state, stmt))
         except (SchemaError, FeatureMissError, IntRangeError) as exc:
             raise SchemaError(f"transform statement {i}: {exc}") from exc

@@ -60,22 +60,25 @@ def enumerate_feature_families(
 class TokenClass(Interned):
     """One character class; ``kind`` is a name or 'Punct' with a single char.
     Interned: ``TokenClass(kind, char)`` returns the one live object per
-    ``(kind, char)``. ``pattern()`` rejects a kind that names no class."""
+    ``(kind, char)``, and rejects a kind that names no class."""
 
     __slots__ = ("kind", "char")
 
     def __new__(cls, kind: str, char: str = "") -> "TokenClass":
         return Interned.__new__(cls, kind, char)
 
+    def _check(self):
+        named = isinstance(self.kind, str) and self.kind in _TOKEN_PATTERNS
+        punct = (self.kind == "Punct" and isinstance(self.char, str)
+                 and len(self.char) == 1)
+        if not (named or punct):
+            raise SchemaError(f"bad token class {self!r}")
+
     def __repr__(self) -> str:
         return f"TokenClass(kind={self.kind!r}, char={self.char!r})"
 
     def pattern(self) -> str:
-        base = _TOKEN_PATTERNS.get(self.kind)
-        if base is None:
-            if self.kind != "Punct" or len(self.char) != 1:
-                raise SchemaError(f"bad token class {self!r}")
-            base = re.escape(self.char)
+        base = _TOKEN_PATTERNS.get(self.kind) or re.escape(self.char)
         # Maximal run: not extendable by the same class on either side.
         return f"(?:(?<!{base}){base}+(?!{base}))"
 

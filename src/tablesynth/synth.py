@@ -6,9 +6,14 @@ statements (``_Engine._candidates``); a candidate whose table is new and
 non-empty is kept, and any other is dropped. Every input is kept. A derived
 table is new when no kept table holds the same set of typed columns
 (``_column_set``): such tables differ only in duplicated or reordered
-columns, so either one answers for the other. GroupJoins share
-their groupings and aggregate columns through the engine's ``ExecState``,
-so each is computed once per search. A candidate's target is named
+columns, so either one answers for the other. Most candidates are decided
+before their table is built, from per-source facts that the engine's
+``ExecState`` caches once per search: a Filter is drawn only when its row
+mask over its source is new and neither empty nor full, and a GroupJoin or
+Order is dropped when its source's column set plus the Int columns it
+appends is already kept. A table is built only for a new key, and its
+build reuses the cached masks, groupings, aggregate and rank columns.
+A candidate's target is named
 ``t<k>`` when it is drawn, where ``k`` counts the tables kept so far (inputs
 included, input names skipped), so tables are named in the order they are
 kept. Backward direction: sub-tables of the output example (hypotheses)
@@ -56,10 +61,12 @@ from .dsl import (
     SymbolApp,
     TransformStmt,
     Yield,
+    appended_columns,
     exec_program,
     exec_transform,
     exec_yield,
     ExecState,
+    predicate_mask,
     sources,
 )
 from .errors import (EngineInternalError, SchemaError, TableSynthError,
@@ -412,6 +419,10 @@ class _Engine:
         self.entries: list[ForwardEntry] = []
         self.state = ExecState()  # every entry's table, by name
         self.seen_columns: set[frozenset] = set()
+        #: Each kept table's column set, by name.
+        self.columns_of: dict[str, frozenset] = {}
+        #: Per kept table's name, the row masks its Filters have drawn.
+        self.seen_masks: dict[str, set[int]] = {}
         self.pred_memo: dict = {}
         self.solver_cache: dict = {}
         #: Each Str column's extract specs, shared by the string solvers
@@ -440,23 +451,35 @@ class _Engine:
         self.entries.append(ForwardEntry(stmt, table, depth))
         self.state.define(table)
         self.seen_columns.add(columns)
+        self.columns_of[table.name] = columns
         return True
 
     def _candidates(self, d: int) -> Iterator[TransformStmt]:
         """Every depth-``d`` statement over the entries kept before it:
         Filters per entry, Joins over Id-column pairs, then per entry of depth
-        ``d - 1`` its GroupJoins and Orders. A GroupJoin or a grouped Order is
-        drawn only over a column with a repeated value: a column of distinct
-        values puts each row in its own group, so a GroupJoin over it appends
-        only ``cnt = 1`` and copies of Int columns, and an Order within it
-        ranks every row 0. A target is named when its statement is drawn,
-        after the one before it was kept or dropped."""
+        ``d - 1`` its GroupJoins and Orders. A Filter is drawn only for the
+        first predicate whose row mask over its source is new and neither
+        empty nor full: any other gives no rows, its source's rows, or the
+        rows of a Filter drawn before it from that source. A GroupJoin or a
+        grouped Order is drawn only over a column with a repeated value: a
+        column of distinct values puts each row in its own group, so a
+        GroupJoin over it appends only ``cnt = 1`` and copies of Int columns,
+        and an Order within it ranks every row 0. A target is named when its
+        statement is drawn, after the one before it was kept or dropped."""
         existing = list(self.entries)
         constants = sorted(self.task.constants, key=lambda v: (str(type(v)), v))
         for e in existing:
-            for pred in _predicates(e.table.schema, constants, d - e.depth,
+            t = e.table
+            seen = self.seen_masks.setdefault(t.name, {0, (1 << t.nrows) - 1})
+            for pred in _predicates(t.schema, constants, d - e.depth,
                                     self.pred_memo):
-                yield Filter(self._fresh_name(), e.table.name, pred)
+                if len(seen) == 1 << t.nrows:  # every row set is drawn
+                    break
+                self.deadline.check()
+                mask = predicate_mask(t, pred, self.state.cache)
+                if mask not in seen:
+                    seen.add(mask)
+                    yield Filter(self._fresh_name(), t.name, pred)
         ids = {e.table.name: [n for n, ty in e.table.schema.columns
                               if ty is ColumnType.ID] for e in existing}
         for e1, e2 in itertools.permutations(existing, 2):
@@ -487,10 +510,18 @@ class _Engine:
 
     def _keep(self, d: int) -> Iterator[ForwardEntry]:
         """Keep each depth-``d`` candidate whose table is new and non-empty,
-        yielding each entry once it is kept."""
+        yielding each entry once it is kept. A GroupJoin's or Order's
+        column set is its source's plus the Int columns it appends, so one
+        whose set is known is dropped before its table is built."""
         for stmt in self._candidates(d):
             self.deadline.check()
             try:
+                if isinstance(stmt, (GroupJoin, Order)):
+                    key = self.columns_of[stmt.src].union(
+                        (ColumnType.INT, vals)
+                        for _, vals in appended_columns(self.state, stmt))
+                    if key in self.seen_columns:
+                        continue
                 table = exec_transform(self.state, stmt)
             except TableSynthError:
                 continue

@@ -499,6 +499,79 @@ def test_groupjoin_through_a_state_cache_equals_a_fresh_call(data):
             assert got.rows == _groupjoin_by_rescan(state[src], col_index, aggs)
 
 
+@st.composite
+def _predicates_over(draw, t, max_size=3):
+    """A random predicate of at most ``max_size`` atoms over ``t``: atoms
+    under ``And`` and ``Or``, any node possibly negated."""
+    atoms = _atoms(t.schema, [0, -1, "a"])
+
+    def tree(size):
+        if size == 1:
+            p = draw(st.sampled_from(atoms))
+        else:
+            left = draw(st.integers(1, size - 1))
+            op = draw(st.sampled_from([And, Or]))
+            p = op(tree(left), tree(size - left))
+        return Not(p) if draw(st.booleans()) else p
+
+    return tree(draw(st.integers(1, max_size)))
+
+
+def _holds_by_definition(p, row, schema) -> bool:
+    """``p`` on one row: its atoms by their symbol's test, then Python's
+    ``not``, ``and`` and ``or``."""
+    if isinstance(p, SymbolApp):
+        return dsl._leaf_holds(p, row, schema)
+    if isinstance(p, Not):
+        return not _holds_by_definition(p.inner, row, schema)
+    left = _holds_by_definition(p.left, row, schema)
+    right = _holds_by_definition(p.right, row, schema)
+    return left and right if isinstance(p, And) else left or right
+
+
+@given(st.data())
+def test_a_filter_mask_holds_eval_predicate_row_by_row(data):
+    # One cache for every predicate, as a search shares its atoms' masks.
+    t = data.draw(_SMALL_OR_ANY_TABLES)
+    cache = {}
+    for _ in range(3):
+        p = data.draw(_predicates_over(t))
+        mask = dsl.predicate_mask(t, p, cache)
+        assert 0 <= mask < 1 << t.nrows
+        for i, row in enumerate(t.rows):
+            holds = _holds_by_definition(p, row, t.schema)
+            assert bool(mask >> i & 1) == eval_predicate(p, row, t.schema) == holds
+        assert exec_filter(t, p).rows == tuple(
+            r for r in t.rows if eval_predicate(p, r, t.schema))
+
+
+@given(st.data())
+def test_filter_and_order_through_a_state_cache_equal_fresh_calls(data):
+    # As for GroupJoin: two states define two tables of one schema under
+    # swapped names, and each state's cache must serve each name only its
+    # own table's atom masks and ranks.
+    t1 = data.draw(_tables("t"))
+    t2 = Table("t", t1.schema, data.draw(st.lists(
+        st.tuples(*(_CELLS[ty] for _, ty in t1.schema.columns)), max_size=8)))
+    states = [ExecState({"t": t1, "u": t2.renamed("u")}),
+              ExecState({"t": t2, "u": t1.renamed("u")})]
+    for k in range(4):
+        p = data.draw(_predicates_over(t1))
+        args = data.draw(_order_args(t1))
+        src = data.draw(st.sampled_from(["t", "u"]))
+        for state in data.draw(st.permutations(states)):
+            t = state[src]
+            got = exec_transform(state, Filter(f"f{k}", src, p))
+            fresh = exec_filter(t, p, f"f{k}")
+            assert got == fresh and got.name == fresh.name
+            assert got.rows == tuple(r for r in t.rows
+                                     if eval_predicate(p, r, t.schema))
+            got = exec_transform(state, Order(f"o{k}", src, *args))
+            fresh = exec_order(t, *args, name=f"o{k}")
+            assert got == fresh and got.name == fresh.name
+            assert got.rows == _order_by_rescan(t, *args)
+
+
 def _renamed_stmt(stmt, names: dict):
     """``stmt`` over the source ``t`` with its column names mapped by
     ``names``."""

@@ -349,9 +349,13 @@ def test_token_class_is_one_object_per_kind_and_char():
 
 
 def test_token_class_is_checked_by_its_pattern():
-    for bad in TokenClass("Bogus"), TokenClass("Punct"), TokenClass("Punct", "ab"):
+    # The rule of ``pattern()`` runs when a token class is built: a kind
+    # without a pattern, or a Punct without exactly one character, cannot
+    # make a feature that prints text the parser rejects.
+    for kind, char in (("Bogus", ""), ("Foo", "x"), ("Punct", ""),
+                       ("Punct", "ab"), ("Punct", 7), (["Digits"], "")):
         with pytest.raises(SchemaError):
-            bad.pattern()
+            TokenClass(kind, char)
 
 
 # -- randomized recovery -----------------------------------------------------

@@ -14,11 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import tablesynth.features as features
 from tablesynth.domains import load_benchmark
-from tablesynth.dsl import (ActionSignature, MutateP, exec_program,
-                            validate_program)
-from tablesynth.errors import IntRangeError, SchemaError
+from tablesynth.dsl import (AGGREGATIONS, ActionSignature, ExecState, Filter,
+                            GroupJoin, Join, MutateP, Order, exec_program,
+                            exec_transform, validate_program)
+from tablesynth.errors import IntRangeError, SchemaError, TableSynthError
 from tablesynth.progtext import format_program
 from tablesynth.synth import (
+    GROUPJOIN_MAX_AGGS,
     POWERSET_ROWS,
     HypothesisGenerator,
     SynthSettings,
@@ -29,6 +31,7 @@ from tablesynth.synth import (
     _SubsetSource,
     _column_set,
     _identifying_columns,
+    _predicates,
     _row_chars,
     score_subtable,
     synthesize,
@@ -699,6 +702,93 @@ def _fully_kept(task, depth):
     for d in range(1, depth + 1):
         engine.expand(engine._keep(d))
     return engine.entries
+
+
+def _reference_entries(task, depth):
+    """(name, statement, table, depth) of each table a naive keep loop keeps
+    in depths 1..``depth``: it draws every Filter over every predicate and
+    every Join, GroupJoin and Order that ``_Engine._candidates`` draws
+    without its mask test, builds each with ``exec_transform`` and keeps a
+    non-empty table whose ``_column_set`` is new."""
+    entries, state, seen, memo = [], ExecState(), set(), {}
+
+    def keep(stmt, table, d):
+        key = _column_set(table)
+        if stmt is None or (table.nrows and key not in seen):
+            entries.append((table.name, stmt, table, d))
+            state.define(table)
+            seen.add(key)
+
+    def fresh():
+        k = len(entries)
+        while f"t{k}" in state.tables:
+            k += 1
+        return f"t{k}"
+
+    def candidates(d, existing):
+        constants = sorted(task.constants, key=lambda v: (str(type(v)), v))
+        for name, _, t, e_depth in existing:
+            for pred in _predicates(t.schema, constants, d - e_depth, memo):
+                yield Filter(fresh(), name, pred)
+        for (n1, _, t1, d1), (n2, _, t2, d2) in itertools.permutations(
+                existing, 2):
+            if max(d1, d2) + 1 == d:
+                for c1, c2 in itertools.product(
+                        [c for c, ty in t1.schema.columns if ty is ID],
+                        [c for c, ty in t2.schema.columns if ty is ID]):
+                    yield Join(fresh(), n1, n2, c1, c2)
+        for name, _, t, e_depth in existing:
+            if e_depth != d - 1:
+                continue
+            ints = [c for c, ty in t.schema.columns if ty is INT]
+            grouping = [c for c in t.schema.names
+                        if len(set(t.column(c))) < t.nrows]
+            for by in grouping:
+                singles = [("cnt", by)] + [(agg, c) for c in ints
+                                           for agg in AGGREGATIONS if agg != "cnt"]
+                for n in range(1, GROUPJOIN_MAX_AGGS + 1):
+                    for aggs in itertools.combinations(singles, n):
+                        yield GroupJoin(fresh(), name, by, aggs)
+            for col, ty in t.schema.columns:
+                if ty is not ID:
+                    for by in [None] + [c for c in grouping if c != col]:
+                        yield Order(fresh(), name, col, 0, False, by)
+
+    for t in task.inputs:
+        keep(None, t, 0)
+    for d in range(1, depth + 1):
+        for stmt in candidates(d, list(entries)):
+            try:
+                table = exec_transform(state, stmt)
+            except TableSynthError:
+                continue
+            keep(stmt, table, d)
+    return entries
+
+
+#: Corpus cases fully kept to depth 1 only: at depth 2, fill-rowsum keeps
+#: 38k tables, and delete-pdf draws a Join per pair of its 1196 tables.
+_DEPTH_ONE = ("file/delete-pdf", "spreadsheet/fill-rowsum")
+
+
+@pytest.mark.parametrize("name", sorted(
+    str(p.relative_to(BENCHMARKS).with_suffix(""))
+    for p in BENCHMARKS.rglob("*.json")) + ["random-404"])
+def test_engine_keeps_what_the_naive_keep_loop_keeps(name):
+    # The engine drops a Filter by its row mask, and a GroupJoin or Order by
+    # its appended columns, before it builds the table; the naive loop
+    # builds every one. Both must keep the same tables under the same names.
+    depth = 1 if name in _DEPTH_ONE else 2
+    settings = SynthSettings(max_depth=depth)
+    if name == "random-404":
+        rng = random.Random(404)
+        tasks = [random_task(rng, settings)[0] for _ in range(40)]
+    else:
+        tasks = [_benchmark(name)(settings)]
+    for task in tasks:
+        got = [(e.table.name, e.stmt, e.table, e.depth)
+               for e in _fully_kept(task, depth)]
+        assert got == _reference_entries(task, depth)
 
 
 def test_lazy_entries_are_a_prefix_of_fully_kept_depths():

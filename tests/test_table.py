@@ -87,10 +87,19 @@ def test_id_round_trips_through_json_and_program_text():
 
 # -- the interning contract, for every interned class ------------------------
 
+#: Each label's own one-character Punct, so a token class built from a
+#: fresh label is a fresh, valid one.
+_PUNCT: dict[str, str] = {}
+
+
+def _punct(label: str) -> tuple[str, str]:
+    return "Punct", _PUNCT.setdefault(label, chr(0x4E00 + len(_PUNCT)))
+
+
 #: Per interned class, its fields built from a fresh string.
 each_interned_class = pytest.mark.parametrize("cls, fields", [
     (Id, lambda s: (s,)),
-    (TokenClass, lambda s: ("Punct", s)),
+    (TokenClass, _punct),
 ], ids=["Id", "TokenClass"])
 
 

@@ -9,7 +9,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import BENCHMARKS, ROOT
+
+RECORDS = ROOT / "tests" / "records"
 
 
 def _load_tool(name):
@@ -50,6 +54,22 @@ def test_task_records_of_the_corpus():
                           "matches_solved", "generalized"}
         assert r["status"] == "solved" and r["generalized"] is True
         assert r["program"] == programs[r["id"]]
+
+
+@pytest.mark.parametrize("seed", [404, 505])
+def test_task_records_equal_the_committed_records(seed, monkeypatch, capsys):
+    # ``tests/records/<seed>.jsonl`` holds every workload's records as
+    # ``python3 tools/task_records.py --seed <seed>`` prints them. A search
+    # change shows here as the first task whose record moved; when the move
+    # is intended, the file is printed again and the digests below updated.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends to it
+    tool = _load_tool("task_records")
+    assert tool.main(["--seed", str(seed)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    committed = (RECORDS / f"{seed}.jsonl").read_text().splitlines()
+    for got, want in zip(printed, committed):
+        assert got == want, f"first changed record: {json.loads(want)['id']}"
+    assert len(printed) == len(committed)
 
 
 def test_task_records_of_the_first_rename_tasks(monkeypatch):
