@@ -1,0 +1,8 @@
+"""``python -m tablesynth``: the ``tablesynth`` command without installing it."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

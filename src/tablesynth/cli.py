@@ -85,7 +85,7 @@ def cmd_synth(args) -> int:
         sys.stdout.write(format_program(best.program))
     for mode, r in results:
         print(json.dumps(r.stats.to_json()), file=sys.stderr)
-    return _STATUS_EXIT[results[0][1].status]
+    return _STATUS_EXIT[best.status]
 
 
 def _load_exec_inputs(path: Path, use_pending: bool):

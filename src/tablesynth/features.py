@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import os.path
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -499,10 +500,11 @@ def _extractions(classes: Sequence[TokenClass], texts: Sequence[str]):
     ``(t2..tL)``. So a sequence with no match on some text has no extension
     with one on either side, and only the sequences of length L - 1 that
     matched on every text are live. A sequence of length L is scanned only
-    when its prefix and its suffix are both live; each scan reads each text
-    once, and skips only sequences that match nothing. Occurrence k exists
-    on every text when it exists on the one with the fewest matches, so the
-    occurrences are read from that count."""
+    when its prefix and its suffix are both live. A scan reads the texts in
+    order and stops at the first one the sequence does not match, so a dead
+    sequence costs one text for each text it matched, plus one. Occurrence
+    k exists on every text when it exists on the one with the fewest
+    matches, so the occurrences are read from that count."""
     live = [()]
     for _ in range(MAX_TOKENS):
         alive = set(live)
@@ -514,9 +516,14 @@ def _extractions(classes: Sequence[TokenClass], texts: Sequence[str]):
                 tokens = prefix + (c,)
                 if tokens[1:] not in alive:
                     continue
-                pattern = _compiled(tokens)
-                found = [pattern.findall(t) for t in texts]
-                if not all(found):
+                findall = _compiled(tokens).findall
+                found = []
+                for t in texts:
+                    matches = findall(t)
+                    if not matches:
+                        break
+                    found.append(matches)
+                if len(found) < len(texts):
                     continue
                 grown.append(tokens)
                 k = min([MAX_OCCURRENCE, *map(len, found)])
@@ -566,7 +573,16 @@ def solve_concat(rows: Sequence[tuple[tuple[str, ...], str]],
     (inputs, output) row. Ranks programs by literal characters, then by
     segment count, so an extract-only program beats a shorter one with a
     literal; at equal rank, extract segments are tried first.
-    ``extractions`` is as for ``solve_substring``."""
+    ``extractions`` is as for ``solve_substring``.
+
+    A search state is each row's position in its output. An extract move
+    from it must place its first row's result at the first row's
+    position, so the usable pieces are indexed by every offset where that
+    result occurs in the first output, and a state reads only its own
+    offset's pieces, checking the other rows with ``startswith``. A
+    literal fits exactly when it is a prefix of every row's remaining
+    output, so the literal moves are the prefixes of the rows' longest
+    common one, capped at ``MAX_LITERAL_LEN``."""
     # Every segment yields a non-empty string, so no program has an empty
     # output.
     if not rows or any(not out for _, out in rows):
@@ -578,18 +594,25 @@ def solve_concat(rows: Sequence[tuple[tuple[str, ...], str]],
     memo = {} if extractions is None else extractions
 
     # A usable segment must extract on every row and the result must occur
-    # in that row's output, otherwise it can never be placed.
-    pieces = [
-        (ExtractSegment(pos, spec), results)
-        for pos in range(n_inputs)
+    # in that row's output, otherwise it can never be placed. It is filed
+    # under each offset where its first row's result occurs in the first
+    # output, overlapping occurrences included, in piece order.
+    out0 = outs[0]
+    at_offset: dict[int, list] = {}
+    for pos in range(n_inputs):
         for spec, results in _column_extractions(
-            tuple(ins[pos] for ins, _ in rows), memo)
-        if all(r in out for r, out in zip(results, outs))
-    ]
+                tuple(ins[pos] for ins, _ in rows), memo):
+            if all(r in out for r, out in zip(results, outs)):
+                piece = (ExtractSegment(pos, spec), results)
+                i = out0.find(results[0])
+                while i >= 0:
+                    at_offset.setdefault(i, []).append(piece)
+                    i = out0.find(results[0], i + 1)
 
     def moves(positions: tuple[int, ...]):
-        # Extract moves carry zero literal cost and are explored first.
-        for seg, results in pieces:
+        # Extract moves carry zero literal cost and are explored first; only
+        # the pieces filed under the first row's position can fit.
+        for seg, results in at_offset.get(positions[0], ()):
             nxt = []
             for p, out, r in zip(positions, outs, results):
                 if not out.startswith(r, p):
@@ -597,13 +620,13 @@ def solve_concat(rows: Sequence[tuple[tuple[str, ...], str]],
                 nxt.append(p + len(r))
             else:
                 yield seg, tuple(nxt), 0
-        # Literal moves: common across rows by construction.
-        remaining0 = outs[0][positions[0]:]
-        limit = min(len(remaining0), MAX_LITERAL_LEN)
-        for length in range(limit, 0, -1):
-            lit = remaining0[:length]
-            if all(out.startswith(lit, p) for out, p in zip(outs, positions)):
-                yield LiteralSegment(lit), tuple(p + length for p in positions), length
+        # Literal moves: every prefix of the rows' common remaining prefix,
+        # longest first.
+        common = os.path.commonprefix(
+            [out[p:p + MAX_LITERAL_LEN] for out, p in zip(outs, positions)])
+        for length in range(len(common), 0, -1):
+            yield (LiteralSegment(common[:length]),
+                   tuple(p + length for p in positions), length)
 
     goal = tuple(len(out) for out in outs)
     start = tuple(0 for _ in outs)

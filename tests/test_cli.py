@@ -82,6 +82,39 @@ def test_synth_both_modes(capsys):
     assert modes == ["bi", "forward-only"]
 
 
+@pytest.mark.parametrize("bench", ["spreadsheet/pass-fail.json",
+                                   "gif/running-example.json"])
+def test_synth_both_modes_exits_with_the_printed_programs_status(bench, capsys):
+    # At bound 1 and depth 1, bi exhausts and forward-only solves: the
+    # program printed is forward-only's, and so is the exit code.
+    flags = ["--hypothesis-bound", "1", "--max-depth", "1"]
+    path = str(BENCHMARKS / bench)
+    assert main(["synth", path, "--mode", "bi", *flags]) == EXIT_EXHAUSTED
+    assert main(["synth", path, "--mode", "forward-only", *flags]) == EXIT_SOLVED
+    forward_only, _ = capsys.readouterr()
+    assert forward_only
+    assert main(["synth", path, "--mode", "both", *flags]) == EXIT_SOLVED
+    out, _ = capsys.readouterr()
+    assert out == forward_only
+
+
+def test_synth_both_modes_unsolved_exits_with_bis_status(capsys):
+    code = main(["synth", WRAP, "--mode", "both", "--max-depth", "0"])
+    out, _ = capsys.readouterr()
+    assert code == EXIT_EXHAUSTED
+    assert out == ""
+
+
+def test_python_dash_m_tablesynth_runs_the_cli(capsys):
+    assert main(["synth", WRAP]) == EXIT_SOLVED
+    program, _ = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tablesynth", "synth", WRAP],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_SOLVED
+    assert proc.stdout == program
+
+
 def test_synth_exhausted_at_depth_zero(capsys):
     code = main(["synth", WRAP, "--max-depth", "0"])
     capsys.readouterr()

@@ -3,14 +3,16 @@ randomized solver-recovery checks."""
 
 from __future__ import annotations
 
+import collections
 import copy
 import hashlib
+import heapq
 import itertools
 import pickle
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tablesynth.features as features
 from tablesynth.errors import FeatureMissError, IntRangeError, SchemaError
@@ -24,6 +26,8 @@ from tablesynth.features import (
     FeatureFamily,
     FeatureInstance,
     LiteralSegment,
+    MAX_LITERAL_LEN,
+    MAX_SEGMENTS,
     TokenClass,
     apply_feature,
     concat,
@@ -40,6 +44,7 @@ from tablesynth.features import (
     solve_sum,
     substring,
     sum_feature,
+    _column_extractions,
     _extractions,
     _token_classes,
 )
@@ -263,6 +268,121 @@ def test_string_solver_results_pinned():
     assert digest == "d3efcf46b87d4ddb"
 
 
+def _solve_concat_reference(rows):
+    """``solve_concat`` before its moves were indexed: every state tests
+    each usable piece on every row and each literal length from
+    ``MAX_LITERAL_LEN`` down."""
+    if not rows or any(not out for _, out in rows):
+        return None
+    n_inputs = len(rows[0][0])
+    if any(len(ins) != n_inputs for ins, _ in rows):
+        return None
+    outs = [out for _, out in rows]
+    memo = {}
+    pieces = [
+        (ExtractSegment(pos, spec), results)
+        for pos in range(n_inputs)
+        for spec, results in _column_extractions(
+            tuple(ins[pos] for ins, _ in rows), memo)
+        if all(r in out for r, out in zip(results, outs))
+    ]
+
+    def moves(positions):
+        for seg, results in pieces:
+            nxt = []
+            for p, out, r in zip(positions, outs, results):
+                if not out.startswith(r, p):
+                    break
+                nxt.append(p + len(r))
+            else:
+                yield seg, tuple(nxt), 0
+        remaining0 = outs[0][positions[0]:]
+        limit = min(len(remaining0), MAX_LITERAL_LEN)
+        for length in range(limit, 0, -1):
+            lit = remaining0[:length]
+            if all(out.startswith(lit, p) for out, p in zip(outs, positions)):
+                yield LiteralSegment(lit), tuple(p + length for p in positions), length
+
+    goal = tuple(len(out) for out in outs)
+    start = tuple(0 for _ in outs)
+    counter = 0
+    frontier = [(0, 0, 0, start, ())]
+    best = {start: (0, 0)}
+    while frontier:
+        lit_cost, n_segs, _, positions, segs = heapq.heappop(frontier)
+        if positions == goal:
+            return concat(ConcatProgram(segs))
+        if best.get(positions, (lit_cost, n_segs)) < (lit_cost, n_segs):
+            continue
+        if n_segs == MAX_SEGMENTS:
+            continue
+        for seg, nxt, step_cost in moves(positions):
+            cost = (lit_cost + step_cost, n_segs + 1)
+            if nxt in best and best[nxt] <= cost:
+                continue
+            best[nxt] = cost
+            counter += 1
+            heapq.heappush(frontier, cost + (counter, nxt, segs + (seg,)))
+    return None
+
+
+_CONCAT_ALPHABET = "ab12._-"
+_CONCAT_SPECS = st.builds(
+    ExtractSpec,
+    st.lists(st.sampled_from(_token_classes(_CONCAT_ALPHABET)),
+             min_size=1, max_size=2).map(tuple),
+    st.sampled_from((1, 2, -1, -2)))
+
+
+@st.composite
+def _concat_rows(draw):
+    """1-4 rows of 1-2 inputs. A row's output is one drawn program's value
+    on its inputs, an unrelated text, or the previous row's output cut
+    short or extended, so that rows' remaining outputs share prefixes of
+    different lengths."""
+    width = draw(st.integers(1, 2))
+    text = st.text(_CONCAT_ALPHABET, max_size=8)
+    segs = draw(st.lists(
+        st.one_of(st.text(_CONCAT_ALPHABET, min_size=1, max_size=3),
+                  st.tuples(st.integers(0, width - 1), _CONCAT_SPECS)),
+        min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        ins = tuple(draw(text) for _ in range(width))
+        kind = draw(st.sampled_from(("program",) * 4 + ("unrelated", "prefix")))
+        try:
+            out = "".join(s if isinstance(s, str) else extract(s[1], ins[s[0]])
+                          for s in segs)
+        except FeatureMissError:
+            kind = "unrelated"
+        if kind == "unrelated":
+            out = draw(text)
+        elif kind == "prefix" and rows:
+            prev = rows[-1][1]
+            out = prev[:draw(st.integers(0, len(prev)))] + draw(
+                st.text(_CONCAT_ALPHABET, max_size=3))
+        rows.append((ins, out))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_concat_rows())
+@example([(("a",), "x-"), (("b",), "x-y")])
+@example([(("a",), "x-y"), (("b",), "x-")])
+@example([(("a1",), "a1a1"), (("b2",), "b2b")])
+@example([(("ab", "1"), "ab.ab-1"), (("b", "2"), "b.b-2")])
+@example([(("aba", "ab"), "ababa")])  # x0 at an overlapping second offset
+@example([(("a",), "." * 25)])  # literals past MAX_LITERAL_LEN
+@example([(("a",), "x" * 22), (("b",), "x" * 21 + "y")])
+def test_solve_concat_agrees_with_the_reference_search(rows):
+    # The offset index and the common-prefix literals only narrow the moves
+    # a state tries: the search, and so the instance found, is unchanged.
+    def text(f):
+        return format_feature(f) if f is not None else None
+
+    assert text(solve_concat(rows)) == text(_solve_concat_reference(rows))
+
+
 def _extractions_unpruned(classes, texts):
     """Reference enumeration: every token sequence up to ``MAX_TOKENS``
     without adjacent equal tokens is scanned, live prefix or not."""
@@ -326,6 +446,31 @@ def test_extractions_never_scan_a_dead_prefix(monkeypatch):
         for part in tokens[:-1], tokens[1:]:
             assert not part or all(compiled(part).search(t) for t in texts), \
                 tokens
+
+
+def test_extractions_stop_a_scan_at_the_first_text_it_misses(monkeypatch):
+    # The first text is one run of digits: of the 11 sequences scanned,
+    # only Digits and Alnum match it, and each of the other 9 reads that
+    # text alone. Reading every text would take 11 * 4 = 44 findall calls.
+    texts = ["2024", "report12.pdf", "notes7-a.txt", "Draft_v3.doc"]
+    compiled = features._compiled
+    reads = collections.Counter()
+
+    class Counting:
+        def __init__(self, tokens):
+            self.tokens, self.pattern = tokens, compiled(tokens)
+
+        def findall(self, text):
+            reads[self.tokens] += 1
+            return self.pattern.findall(text)
+
+    monkeypatch.setattr(features, "_compiled", Counting)
+    specs = list(_extractions(_token_classes(texts), texts))
+    assert {spec.tokens for spec, _ in specs} == {(DIGITS,), (ALNUM,)}
+    assert len(reads) == 11
+    assert sum(reads.values()) == 17
+    for tokens, n in reads.items():
+        assert n == (len(texts) if compiled(tokens).search(texts[0]) else 1), tokens
 
 
 # -- token classes -----------------------------------------------------------
