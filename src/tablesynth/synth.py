@@ -36,10 +36,12 @@ number of output rows.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .dsl import (
     AGGREGATIONS,
@@ -161,6 +163,9 @@ class SynthStats:
     #: Entries left in a depth's hypothesis queue when the bound ended its
     #: loop: row sets the search never tried to match.
     hypotheses_untried: int = 0
+    #: Entries the depths' hypothesis sources scored: pool row sets and
+    #: match complements (0 forward-only).
+    hypotheses_scored: int = 0
     matches_solved: int = 0
     mode: str = "bi"
 
@@ -268,6 +273,11 @@ def _consecutive_runs(vals: Sequence[int]) -> list[int]:
     return [sum(1 << by_val[v] for v in run) for run in runs if len(run) >= 2]
 
 
+def _positions(mask: int) -> tuple[int, ...]:
+    """The positions of ``mask``'s set bits, ascending."""
+    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+
+
 class HypothesisGenerator:
     """Prioritized, bounded queue of sub-tables of the output example.
 
@@ -280,49 +290,122 @@ class HypothesisGenerator:
     ``key`` order (higher score, then more rows, then row positions), and a
     match pulls its complement to the front (``update_rank``). The tag is
     the entry's provenance: full-table, signature-group or complement.
+
+    The pool is scored a size at a time. Each row count has a score bound
+    from the column facts (``_bound``), and its row sets are scored (those
+    of the power set also drawn) only when that bound can reach the head of
+    the queue. So a search that stops after a few entries scores few of
+    them. ``scored`` counts the entries scored, complements included.
     """
 
     def __init__(self, output: Table, inputs: Sequence[Table],
                  settings: SynthSettings):
         self.bound = settings.hypothesis_bound
         self.facts = _column_facts(output.rows, output.schema, inputs)
-        self.full = (1 << output.nrows) - 1
-        pool: dict[int, str] = {self.full: "full-table"}
-        for ty, vals, group_of, _ in self.facts:
-            for mask in group_of:
-                pool.setdefault(mask, "signature-group")
-            if ty is ColumnType.INT:
-                for run in _consecutive_runs(vals):
-                    pool.setdefault(run, "signature-group")
-        if output.nrows <= POWERSET_ROWS:
-            for mask in range(1, self.full):
-                pool.setdefault(mask, "signature-group")
-        self.queue = sorted(itertools.starmap(self._entry, pool.items()))
+        self.nrows = n = output.nrows
+        self.full = (1 << n) - 1
+        self.pool: Collection[int]
+        if 0 < n <= POWERSET_ROWS:
+            self.pool = range(1, self.full + 1)  # every non-empty mask
+            sizes: Iterable[int] = range(1, n + 1)
+        else:
+            self.pool = {self.full}
+            for ty, vals, group_of, _ in self.facts:
+                self.pool.update(group_of)
+                if ty is ColumnType.INT:
+                    self.pool.update(_consecutive_runs(vals))
+            sizes = {mask.bit_count() for mask in self.pool}
+        # Per column and term, the most rows that can earn it (``_bound``):
+        # for the const or ordered term, the largest value group or the
+        # count of distinct Ints; for the concat term, the feasible rows.
+        self.limits = sorted(itertools.chain.from_iterable(
+            (max(max(map(int.bit_count, group_of)),
+                 len(set(vals)) if ty is ColumnType.INT else 0),
+             feasible.bit_count())
+            for ty, vals, group_of, feasible in self.facts if vals))
+        #: The sizes not yet scored, as ``(-bound, -size)``, the next last.
+        self.buckets = sorted(((-self._bound(k), -k) for k in sizes),
+                              reverse=True)
+        self.heap: list[tuple] = []  # the scored pool entries
+        self.front: list[tuple] = []  # complements, the latest last
+        self.gone: set[int] = set()  # pool masks emitted or removed
         self.emitted = 0
+        self.scored = 0
+
+    def _bound(self, k: int) -> int:
+        """No row set of ``k`` rows scores more. Per column, the const term
+        needs a value group of ``k`` rows, the ordered term ``k >= 2``
+        distinct Ints (so the two exclude each other, and a column earns at
+        most one), and the concat term ``k`` feasible rows. So each limit of
+        at least ``k`` adds at most one per row."""
+        return k * (len(self.limits) - bisect.bisect_left(self.limits, k))
 
     def _entry(self, mask: int, tag: str) -> tuple:
         """``(key, mask, tag)``, ``key = (-score, -size, positions)`` with
         positions ascending. A table stores its rows in row-key order, so
         ties of score and size fall to canonical row-set order."""
-        positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        return self._keyed(mask, _positions(mask), tag)
+
+    def _keyed(self, mask: int, positions: tuple, tag: str) -> tuple:
+        """``_entry`` given ``mask``'s positions."""
+        self.scored += 1
         score = _score(self.facts, mask, positions)
         return (-score, -len(positions), positions), mask, tag
 
+    def _open(self, k: int):
+        """Score the pool's row sets of ``k`` rows into the heap."""
+        if isinstance(self.pool, range):
+            # Both combinations run in one order: positions and their bits.
+            bits = [1 << i for i in range(self.nrows)]
+            rowsets: Iterable = zip(
+                itertools.combinations(range(self.nrows), k),
+                map(sum, itertools.combinations(bits, k)))
+        else:
+            rowsets = ((_positions(mask), mask) for mask in self.pool
+                       if mask.bit_count() == k)
+        self.heap += [self._keyed(mask, positions, "full-table"
+                                  if mask == self.full else "signature-group")
+                      for positions, mask in rowsets if mask not in self.gone]
+        heapq.heapify(self.heap)
+
+    def _pop(self) -> Optional[tuple]:
+        """The pool's next entry in key order. A size is scored first when
+        its ``(-bound, -size)`` is below the head's key, as one of its row
+        sets could then precede the head (it cannot tie: the head's size is
+        scored). Keys are unique per mask, so the order is that of the
+        whole pool sorted."""
+        heap, buckets = self.heap, self.buckets
+        while True:
+            if heap and heap[0][1] in self.gone:
+                heapq.heappop(heap)
+            elif buckets and (not heap or buckets[-1] < heap[0][0]):
+                self._open(-buckets.pop()[1])
+            else:
+                return heapq.heappop(heap) if heap else None
+
     def next(self) -> Optional[tuple]:
-        if self.emitted >= self.bound or not self.queue:
+        if self.emitted >= self.bound:
+            return None
+        if self.front:
+            entry = self.front.pop()
+        elif (entry := self._pop()) is not None:
+            self.gone.add(entry[1])
+        else:
             return None
         self.emitted += 1
-        return self.queue.pop(0)
+        return entry
 
     def untried(self) -> int:
         """Entries the bound keeps from being handed out."""
-        return len(self.queue)
+        return len(self.front) + len(self.pool) - len(self.gone)
 
     def update_rank(self, mask: int):
         complement = self.full & ~mask
-        self.queue = [e for e in self.queue if e[1] != complement]
+        self.front = [e for e in self.front if e[1] != complement]
+        if complement in self.pool:
+            self.gone.add(complement)
         if complement:
-            self.queue.insert(0, self._entry(complement, "complement"))
+            self.front.append(self._entry(complement, "complement"))
 
 
 class _SubsetSource:
@@ -330,6 +413,8 @@ class _SubsetSource:
     output row positions, larger first, as ``HypothesisGenerator`` entries
     of score 0. Unscored and unbounded. A row set matched at an earlier
     depth is tried again and finds the same first match."""
+
+    scored = 0
 
     def __init__(self, output: Table, deadline: _Deadline):
         self.deadline = deadline
@@ -423,6 +508,9 @@ class _Engine:
         self.columns_of: dict[str, frozenset] = {}
         #: Per kept table's name, the row masks its Filters have drawn.
         self.seen_masks: dict[str, set[int]] = {}
+        #: The last GroupJoin or Order ``_keep`` drew past the column-set
+        #: test, and its column set, which ``_add_entry`` then reuses.
+        self.column_memo: tuple = (None, None)
         self.pred_memo: dict = {}
         self.solver_cache: dict = {}
         #: Each Str column's extract specs, shared by the string solvers
@@ -445,7 +533,9 @@ class _Engine:
         """Keep ``table`` if it is an input (``stmt`` None), which the
         program may name, or if no kept table has its column set
         (``_column_set``)."""
-        columns = _column_set(table)
+        memo_stmt, memo_columns = self.column_memo
+        columns = (memo_columns if stmt is not None and stmt is memo_stmt
+                   else _column_set(table))
         if stmt is not None and columns in self.seen_columns:
             return False
         self.entries.append(ForwardEntry(stmt, table, depth))
@@ -512,7 +602,8 @@ class _Engine:
         """Keep each depth-``d`` candidate whose table is new and non-empty,
         yielding each entry once it is kept. A GroupJoin's or Order's
         column set is its source's plus the Int columns it appends, so one
-        whose set is known is dropped before its table is built."""
+        whose set is known is dropped before its table is built, and one
+        that is kept hands its set on to ``_add_entry``."""
         for stmt in self._candidates(d):
             self.deadline.check()
             try:
@@ -522,6 +613,7 @@ class _Engine:
                         for _, vals in appended_columns(self.state, stmt))
                     if key in self.seen_columns:
                         continue
+                    self.column_memo = (stmt, key)
                 table = exec_transform(self.state, stmt)
             except TableSynthError:
                 continue
@@ -700,19 +792,22 @@ class _Engine:
                           if self.settings.mode == "forward-only" else
                           HypothesisGenerator(self.task.output,
                                               self.task.inputs, self.settings))
-                while (entry := source.next()) is not None:
-                    self.stats.hypotheses_tried += 1
-                    key, mask, _ = entry
-                    stmt = self.match_hypothesis(key[2], stream)
-                    if stmt is None:
-                        continue
-                    self.stats.matches_solved += 1
-                    matched.setdefault(mask, (key, stmt))
-                    source.update_rank(mask)
-                    cover = self.assemble_mapping(matched)
-                    if cover:  # an empty output's empty cover is no program
-                        program = self.assemble_program(cover)
-                        return self._finish("solved", program, start)
+                try:
+                    while (entry := source.next()) is not None:
+                        self.stats.hypotheses_tried += 1
+                        key, mask, _ = entry
+                        stmt = self.match_hypothesis(key[2], stream)
+                        if stmt is None:
+                            continue
+                        self.stats.matches_solved += 1
+                        matched.setdefault(mask, (key, stmt))
+                        source.update_rank(mask)
+                        cover = self.assemble_mapping(matched)
+                        if cover:  # an empty output's empty cover is no program
+                            program = self.assemble_program(cover)
+                            return self._finish("solved", program, start)
+                finally:  # also when the depth solves or times out
+                    self.stats.hypotheses_scored += source.scored
                 self.stats.hypotheses_untried += source.untried()
                 self.expand(stream)
             return self._finish("exhausted", None, start)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tablesynth.features as features
+import tablesynth.synth as synth
 from tablesynth.domains import load_benchmark
 from tablesynth.dsl import (AGGREGATIONS, ActionSignature, ExecState, Filter,
                             GroupJoin, Join, MutateP, Order, exec_program,
@@ -216,6 +217,23 @@ def test_untried_hypotheses_are_counted_where_the_bound_cuts():
     assert sum(n for _, n in untried.values()) == 270
 
 
+def test_scored_hypotheses_are_counted_per_search(monkeypatch):
+    # The bi pool is scored a size at a time, as far as the queue's head
+    # needs it. Scoring the whole pool (and complements) took 2925 entries
+    # on the seed-404 rename workload and 4965 on the depth-1 sweep.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.workloads import rename
+
+    cases = rename(ROOT, 404).cases
+    assert sum(synthesize(c.task).stats.hypotheses_scored
+               for c in cases) <= 150
+    rng = random.Random(404)
+    tasks = [random_task(rng, SynthSettings(max_depth=1))[0]
+             for _ in range(200)]
+    assert sum(synthesize(t).stats.hypotheses_scored for t in tasks) == 2336
+    assert synthesize_forward_only(tasks[0]).stats.hypotheses_scored == 0
+
+
 def test_consecutive_runs_decide_a_sweep_task():
     # Draw 116 of the depth-1 sweep splits ``num`` at 10. The third
     # hypothesis is the consecutive run num = 4, 5 (the rows below 10). Its
@@ -379,10 +397,20 @@ _WIDE = Table("o", Schema([("id", ID), ("k", INT), ("m", INT), ("s", STR),
 
 @given(_checked_tables(max_rows=POWERSET_ROWS + 3), _input_tables(),
        st.lists(st.booleans()), st.integers(1, 80))
+# An empty output: its pool is the one mask 0, tagged full-table.
 @example(Table("o", Schema([("n", INT)]), []), [_NAMES], [True], 20)
 @example(Table("o", Schema([("s", STR), ("n", INT)]), [("ab", 1)]),
          [_NAMES], [True], 20)
+# The full table ranks first and matches: its complement is 0.
+@example(Table("o", Schema([("s", STR), ("n", INT)]), [("ab", 1), ("ab", 2)]),
+         [_NAMES], [True], 20)
 @example(_SPAN_NOT_RUN, [_NAMES], [False], 20)
+# The bound ends with five row sets left, among them the other pairs.
+@example(_SPAN_NOT_RUN, [_NAMES], [], 2)
+# Rank updates whose complements were already emitted.
+@example(_SPAN_NOT_RUN, [_NAMES], [False, True, True], 20)
+# More than POWERSET_ROWS rows: a match's complement is not a pool mask.
+@example(_WIDE, [_NAMES], [False, True], 20)
 @example(_WIDE, [_NAMES], [True, False, True, True], 80)
 def test_hypothesis_generator_equals_its_reference(output, inputs, matches,
                                                    bound):
@@ -404,6 +432,7 @@ def test_hypothesis_generator_equals_its_reference(output, inputs, matches,
         if next(reported, False):
             ref.update_rank(h)
     assert emitted == expected
+    assert gen.untried() == len(ref.queue)
 
 
 # -- row surjections ---------------------------------------------------------
@@ -789,6 +818,29 @@ def test_engine_keeps_what_the_naive_keep_loop_keeps(name):
         got = [(e.table.name, e.stmt, e.table, e.depth)
                for e in _fully_kept(task, depth)]
         assert got == _reference_entries(task, depth)
+
+
+def test_a_kept_groupjoin_or_order_reuses_its_column_set(monkeypatch):
+    # ``_keep`` computes a GroupJoin's or Order's column set from its
+    # source's and the columns it appends; ``_add_entry`` takes it from
+    # there instead of transposing the built table again.
+    transposed = []
+    column_set = synth._column_set
+
+    def counting(t):
+        transposed.append(t.name)
+        return column_set(t)
+
+    monkeypatch.setattr(synth, "_column_set", counting)
+    engine = _Engine(_benchmark("spreadsheet/fill-rowsum")(SynthSettings()))
+    engine.expand(engine._keep(1))
+    shaped = [e.table for e in engine.entries
+              if isinstance(e.stmt, (GroupJoin, Order))]
+    assert shaped
+    assert not {t.name for t in shaped} & set(transposed)
+    assert "cells" in transposed  # the input is transposed
+    for t in shaped:
+        assert engine.columns_of[t.name] == column_set(t)
 
 
 def test_lazy_entries_are_a_prefix_of_fully_kept_depths():
